@@ -274,10 +274,10 @@ fn table_sentiment(sweeps: &[(&str, &Sweep)]) {
 /// (2) hybrid queue transport (in-process channels / Redis in-proc / TCP).
 fn ablation(opts: &Opts) {
     use dispel4py::core::autoscale::ProportionalStrategy;
-    use dispel4py::core::mappings::dynamic::{run_dynamic, AutoscaleSetup};
-    use dispel4py::core::queue::ChannelQueue;
+    use dispel4py::core::mappings::dynamic::AutoscaleSetup;
+    use dispel4py::core::mappings::engine::{self, RunPlan};
+    use dispel4py::core::mappings::hybrid::ChannelQueueFactory;
     use dispel4py::workflows::astro;
-    use std::sync::Arc;
 
     println!("== Ablation 1: auto-scaling strategy (galaxy 3X, 16 workers, server) ==\n");
     let cfg = base_cfg(opts)
@@ -311,7 +311,6 @@ fn ablation(opts: &Opts) {
     );
 
     let (exe, _) = astro::build(&cfg);
-    let queue = Arc::new(ChannelQueue::new(workers));
     let setup = AutoscaleSetup {
         config: AutoscaleConfig {
             tick: std::time::Duration::from_millis(2),
@@ -319,14 +318,11 @@ fn ablation(opts: &Opts) {
         },
         strategy: Box::new(|q| Box::new(ProportionalStrategy::new(q, 4.0, 0.5, 4))),
     };
-    let prop = run_dynamic(
-        &exe,
-        &ExecutionOptions::new(workers),
-        queue,
-        "dyn_prop_multi",
-        Some(setup),
-    )
-    .unwrap();
+    let plan = RunPlan {
+        autoscale: Some(setup),
+        ..RunPlan::new("dyn_prop_multi", &ChannelQueueFactory)
+    };
+    let prop = engine::run(&exe, &ExecutionOptions::new(workers), &plan).unwrap();
     println!(
         "{:<24} runtime {:>7.3}s  process {:>8.3}s",
         "proportional (EWMA)",

@@ -22,7 +22,7 @@ use crate::queue::TaskQueue;
 use d4py_sync::{Condvar, Mutex};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 /// Auto-scaler parameters (Algorithm 1's constructor arguments).
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -331,26 +331,44 @@ impl AutoScaler {
         }
     }
 
-    /// Requests shutdown and wakes every parked worker.
+    /// Requests shutdown and wakes every parked worker and the monitor.
+    /// The notification is sent under the state lock, so a waiter that has
+    /// just checked the flag cannot miss it.
     pub fn request_shutdown(&self) {
         self.shutdown.store(true, Ordering::SeqCst);
+        let _state = self.state.lock();
         self.changed.notify_all();
     }
 
-    /// The scaler loop: every `tick`, observes the strategy, applies the
-    /// decision, and records a trace point when the metric or active size
-    /// changed. Runs until [`request_shutdown`](Self::request_shutdown).
+    /// Waits until `tick` has passed since the call or shutdown was
+    /// requested, whichever comes first. Returns true on shutdown.
+    fn wait_tick(&self, tick: Duration) -> bool {
+        let deadline = Instant::now().checked_add(tick);
+        let mut st = self.state.lock();
+        // Wakeups from grow/shrink re-arm the wait until the deadline.
+        while !self.is_shutdown() {
+            match deadline {
+                Some(deadline) => {
+                    if self.changed.wait_until(&mut st, deadline).timed_out() {
+                        return false;
+                    }
+                }
+                None => self.changed.wait(&mut st),
+            }
+        }
+        true
+    }
+
+    /// The scaler loop: once at start and then every `tick`, observes the
+    /// strategy, applies the decision, and records a trace point when the
+    /// metric or active size changed — so even a run shorter than one tick
+    /// leaves a trace. Returns as soon as
+    /// [`request_shutdown`](Self::request_shutdown) is called.
     pub fn run_monitor(&self, mut strategy: Box<dyn MonitorStrategy>, tick: Duration) {
         let mut iteration: u64 = 0;
         let mut prev_metric: Option<f64> = None;
         let mut prev_active = self.active_size();
-        while !self.shutdown.load(Ordering::SeqCst) {
-            // sleep: the autoscaler's sampling tick — a coarse periodic
-            // poll by design; shutdown is re-checked right after waking.
-            std::thread::sleep(tick);
-            if self.shutdown.load(Ordering::SeqCst) {
-                break;
-            }
+        loop {
             let active = self.active_size();
             let (metric, decision) = strategy.observe(active);
             self.apply(decision);
@@ -366,6 +384,9 @@ impl AutoScaler {
             }
             prev_metric = Some(metric);
             prev_active = new_active;
+            if self.wait_tick(tick) {
+                break;
+            }
         }
     }
 }
@@ -608,6 +629,22 @@ mod tests {
             trace.iter().any(|p| p.metric > 0.0),
             "queue depth should have been observed non-zero"
         );
+    }
+
+    #[test]
+    fn monitor_stops_at_once_on_shutdown() {
+        let q = Arc::new(ChannelQueue::new(2));
+        let s = Arc::new(AutoScaler::new(4, &cfg()));
+        let strategy = Box::new(QueueSizeStrategy::new(q, 1.0));
+        let s2 = s.clone();
+        let monitor = std::thread::spawn(move || s2.run_monitor(strategy, Duration::from_secs(10)));
+        std::thread::sleep(Duration::from_millis(20));
+        let asked = std::time::Instant::now();
+        s.request_shutdown();
+        monitor.join().unwrap();
+        // timing: hang detector (the tick is 10 s), not a performance gate.
+        assert!(asked.elapsed() < Duration::from_secs(2));
+        assert_eq!(s.trace().len(), 1, "only the opening sample was taken");
     }
 
     use std::sync::Arc;

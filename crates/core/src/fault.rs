@@ -1,4 +1,5 @@
-//! Deterministic fault injection for the hybrid engine (DESIGN.md §10).
+//! Deterministic fault injection for the dynamic/hybrid engine
+//! (DESIGN.md §10).
 //!
 //! A [`FaultPlan`] describes the faults one chaos run should suffer. The
 //! plan is *declarative* and fully deterministic: faults trigger on task
@@ -55,7 +56,7 @@ pub struct PillStorm {
     pub pills: usize,
 }
 
-/// The faults one hybrid run should suffer. `FaultPlan::default()` is the
+/// The faults one run should suffer. `FaultPlan::default()` is the
 /// healthy run — every existing entry point uses it.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct FaultPlan {

@@ -5,9 +5,9 @@
 //! processing-element API ([`pe`], [`executable`]), grouping-aware routing
 //! ([`routing`]), the evaluation metrics ([`metrics`]), platform simulation
 //! ([`platform`], [`workload`]), and the non-Redis enactment engines
-//! ([`mappings`]): `simple`, `multi`, `dyn_multi`, `dyn_auto_multi`, plus
-//! the generic dynamic and hybrid engines the Redis mappings (crate
-//! `d4py-redis`) plug their queues into.
+//! ([`mappings`]): `simple`, `multi`, `dyn_multi`, `dyn_auto_multi`,
+//! `hybrid_multi`, plus the one dynamic/hybrid engine the Redis mappings
+//! (crate `d4py-redis`) plug their queues into.
 //!
 //! The auto-scaler of the paper's Algorithm 1 lives in [`autoscale`].
 //!

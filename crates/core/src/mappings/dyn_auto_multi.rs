@@ -4,12 +4,12 @@
 use crate::autoscale::{AutoscaleConfig, ProportionalStrategy, QueueSizeStrategy};
 use crate::error::CoreError;
 use crate::executable::Executable;
-use crate::mapping::Mapping;
-use crate::mappings::dynamic::{run_dynamic, AutoscaleSetup};
+use crate::mapping::{require_stateless, Mapping};
+use crate::mappings::dyn_multi::steal_queues;
+use crate::mappings::dynamic::AutoscaleSetup;
+use crate::mappings::engine::{self, RunPlan};
 use crate::metrics::RunReport;
 use crate::options::ExecutionOptions;
-use crate::queue::WorkStealQueue;
-use std::sync::Arc;
 
 /// Which monitoring strategy drives the scaler.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -76,9 +76,7 @@ impl Mapping for DynAutoMulti {
     }
 
     fn execute(&self, exe: &Executable, opts: &ExecutionOptions) -> Result<RunReport, CoreError> {
-        // Per-worker deques with stealing: breaks the single-queue
-        // contention plateau under high worker counts.
-        let queue = Arc::new(WorkStealQueue::new(opts.workers));
+        require_stateless(exe, self.name())?;
         let threshold = self.config.threshold;
         let strategy = self.strategy;
         let setup = AutoscaleSetup {
@@ -97,7 +95,11 @@ impl Mapping for DynAutoMulti {
                 )),
             }),
         };
-        run_dynamic(exe, opts, queue, self.name(), Some(setup))
+        let plan = RunPlan {
+            autoscale: Some(setup),
+            ..RunPlan::new(self.name(), &steal_queues)
+        };
+        engine::run(exe, opts, &plan)
     }
 }
 

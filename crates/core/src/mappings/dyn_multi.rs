@@ -5,12 +5,18 @@
 
 use crate::error::CoreError;
 use crate::executable::Executable;
-use crate::mapping::Mapping;
-use crate::mappings::dynamic::run_dynamic;
+use crate::mapping::{require_stateless, Mapping};
+use crate::mappings::engine::{self, RunPlan};
 use crate::metrics::RunReport;
 use crate::options::ExecutionOptions;
-use crate::queue::WorkStealQueue;
+use crate::queue::{TaskQueue, WorkStealQueue};
 use std::sync::Arc;
+
+/// Per-worker deques with stealing, for the dynamic pool: they break the
+/// single-queue contention plateau under high worker counts.
+pub(crate) fn steal_queues(_name: &str, workers: usize) -> Result<Arc<dyn TaskQueue>, CoreError> {
+    Ok(Arc::new(WorkStealQueue::new(workers)))
+}
 
 /// Dynamic-scheduling multiprocessing mapping.
 #[derive(Debug, Clone, Copy, Default)]
@@ -22,10 +28,8 @@ impl Mapping for DynMulti {
     }
 
     fn execute(&self, exe: &Executable, opts: &ExecutionOptions) -> Result<RunReport, CoreError> {
-        // Per-worker deques with stealing: breaks the single-queue
-        // contention plateau under high worker counts.
-        let queue = Arc::new(WorkStealQueue::new(opts.workers));
-        run_dynamic(exe, opts, queue, self.name(), None)
+        require_stateless(exe, self.name())?;
+        engine::run(exe, opts, &RunPlan::new(self.name(), &steal_queues))
     }
 }
 

@@ -1,42 +1,29 @@
-//! The generic dynamic-scheduling engine (Figure 2 of the paper).
+//! Dynamic scheduling (Figure 2 of the paper): the zero-slot plan of
+//! [`super::engine`].
 //!
 //! Every worker holds its own copy of the abstract workflow and pulls
 //! `(PE id, data)` tasks from a shared global queue; results are routed back
-//! into the queue. The engine is generic over [`TaskQueue`], so the same
-//! worker loop powers `dyn_multi` (in-process channel) and `dyn_redis`
-//! (Redis stream over the wire), with or without the auto-scaler.
+//! into the queue. The planners `dyn_multi`, `dyn_auto_multi`, `dyn_redis`
+//! and `dyn_auto_redis` check that the workflow is stateless
+//! ([`require_stateless`](crate::mapping::require_stateless)) and hand the
+//! engine a queue factory and, for the auto-scaling variants, an
+//! [`AutoscaleSetup`]. With no stateful PE the engine pins no slot, so the
+//! whole pool is dynamic.
 //!
-//! Termination implements §3.2.3: a worker that keeps finding the queue
-//! empty — after the engine's outstanding-task counter confirms no task is
-//! in flight (strict mode) — waits `poll_timeout`, retries `max_retries`
-//! times, then broadcasts poison pills to stop the remaining workers
-//! quickly.
+//! Termination: in strict mode (the default) the engine's outstanding-task
+//! counter proves the run finished and the coordinator sends the poison
+//! pills at once. `TerminationConfig { strict: false, .. }` runs the
+//! paper's §3.2.3 protocol instead: a worker that keeps finding the queue
+//! empty waits `poll_timeout`, retries `max_retries` times, then
+//! broadcasts poison pills to stop the remaining workers quickly.
 
-use crate::autoscale::{AutoScaler, AutoscaleConfig, Gate, MonitorStrategy};
-use crate::error::CoreError;
-use crate::executable::Executable;
-use crate::mapping::require_stateless;
-use crate::metrics::{ActiveTimeLedger, LatencyHistogram, PeTaskCounts, RunReport};
-use crate::options::ExecutionOptions;
-use crate::pe::EmitBuffer;
+use crate::autoscale::{AutoscaleConfig, MonitorStrategy};
 use crate::queue::TaskQueue;
-use crate::routing::{Route, Router};
-use crate::task::{QueueItem, Task};
-use d4py_graph::PeId;
-use d4py_sync::Mutex;
-use std::collections::HashMap;
-use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::Arc;
-use std::time::Instant;
 
-/// Upper bound on one blocking batch pop in the worker loop. Large enough
-/// to amortize the parking layer on a hot queue, small enough that one
-/// worker cannot hoard a backlog other (possibly idle) workers could run —
-/// and bounded so a Pill drained mid-batch is acted on promptly.
-const POP_BATCH: usize = 32;
-
-/// Constructor for a monitoring strategy over the run's queue.
-pub type StrategyBuilder = Box<dyn FnOnce(Arc<dyn TaskQueue>) -> Box<dyn MonitorStrategy> + Send>;
+/// Constructor for a monitoring strategy over the run's global queue.
+pub type StrategyBuilder =
+    Box<dyn Fn(Arc<dyn TaskQueue>) -> Box<dyn MonitorStrategy> + Send + Sync>;
 
 /// Auto-scaling attachment for a dynamic run: the configuration plus a
 /// strategy constructor (the strategy usually needs the queue).
@@ -47,304 +34,35 @@ pub struct AutoscaleSetup {
     pub strategy: StrategyBuilder,
 }
 
-/// Shared state of one dynamic run.
-struct Engine {
-    exe: Executable,
-    queue: Arc<dyn TaskQueue>,
-    /// Tasks pushed but not yet fully processed (children are pushed before
-    /// the parent is counted done, so 0 ⇒ quiescent).
-    outstanding: AtomicUsize,
-    shutdown: AtomicBool,
-    tasks_executed: AtomicU64,
-    dropped_emissions: AtomicU64,
-    failed_tasks: AtomicU64,
-    pe_counts: PeTaskCounts,
-    latency: LatencyHistogram,
-    ledger: ActiveTimeLedger,
-    scaler: Option<AutoScaler>,
-    workers: usize,
-}
-
-impl Engine {
-    fn broadcast_pills(&self) {
-        for _ in 0..self.workers {
-            let _ = self.queue.push(QueueItem::Pill);
-        }
-    }
-}
-
-/// Runs a stateless workflow under dynamic scheduling on `queue`.
-///
-/// `mapping_name` labels the report; `autoscale` attaches Algorithm 1.
-pub fn run_dynamic(
-    exe: &Executable,
-    opts: &ExecutionOptions,
-    queue: Arc<dyn TaskQueue>,
-    mapping_name: &'static str,
-    autoscale: Option<AutoscaleSetup>,
-) -> Result<RunReport, CoreError> {
-    if opts.workers == 0 {
-        return Err(CoreError::InvalidOptions("workers must be ≥ 1".into()));
-    }
-    let preflight_warnings = crate::preflight::preflight(exe, opts, autoscale.is_some())?;
-    require_stateless(exe, mapping_name)?;
-    let started = Instant::now();
-
-    let (scaler, strategy_and_tick) = match autoscale {
-        None => (None, None),
-        Some(setup) => {
-            let scaler = AutoScaler::new(opts.workers, &setup.config);
-            let strategy = (setup.strategy)(queue.clone());
-            (Some(scaler), Some((strategy, setup.config.tick)))
-        }
-    };
-
-    let engine = Arc::new(Engine {
-        exe: exe.clone(),
-        queue,
-        outstanding: AtomicUsize::new(0),
-        shutdown: AtomicBool::new(false),
-        tasks_executed: AtomicU64::new(0),
-        dropped_emissions: AtomicU64::new(0),
-        failed_tasks: AtomicU64::new(0),
-        pe_counts: PeTaskCounts::new(),
-        latency: LatencyHistogram::new(),
-        ledger: ActiveTimeLedger::new(opts.workers),
-        scaler,
-        workers: opts.workers,
-    });
-
-    // Seed the queue with one kickoff per source PE.
-    for source in engine.exe.graph().sources() {
-        engine.outstanding.fetch_add(1, Ordering::SeqCst);
-        engine.queue.push(QueueItem::Task(Task::kickoff(source)))?;
-    }
-
-    let monitor_handle = strategy_and_tick.map(|(strategy, tick)| {
-        let engine = engine.clone();
-        std::thread::spawn(move || {
-            if let Some(scaler) = &engine.scaler {
-                scaler.run_monitor(strategy, tick);
-            }
-        })
-    });
-
-    let handles: Vec<_> = (0..opts.workers)
-        .map(|w| {
-            let engine = engine.clone();
-            let opts = opts.clone();
-            std::thread::spawn(move || dynamic_worker(w, &engine, &opts))
-        })
-        .collect();
-
-    let mut worker_error = None;
-    for (w, h) in handles.into_iter().enumerate() {
-        match h.join() {
-            Ok(Ok(())) => {}
-            Ok(Err(e)) => worker_error = Some(e),
-            Err(_) => worker_error = Some(CoreError::WorkerPanic { worker: w }),
-        }
-    }
-    if let Some(scaler) = &engine.scaler {
-        scaler.request_shutdown();
-    }
-    if let Some(h) = monitor_handle {
-        let _ = h.join();
-    }
-    if let Some(e) = worker_error {
-        return Err(e);
-    }
-
-    Ok(RunReport {
-        mapping: mapping_name.to_string(),
-        runtime: started.elapsed(),
-        process_time: engine.ledger.total(),
-        workers: opts.workers,
-        // relaxed: statistics counters, read only after every worker has
-        // been joined — the join is the synchronization point.
-        tasks_executed: engine.tasks_executed.load(Ordering::Relaxed),
-        scaling_trace: engine
-            .scaler
-            .as_ref()
-            .map(|s| s.trace().snapshot())
-            .unwrap_or_default(),
-        // relaxed: same post-join statistics reads as `tasks_executed`.
-        dropped_emissions: engine.dropped_emissions.load(Ordering::Relaxed),
-        failed_tasks: engine.failed_tasks.load(Ordering::Relaxed),
-        per_pe_tasks: engine.pe_counts.snapshot(),
-        task_latency: engine.latency.summary(),
-        queue_steals: engine.queue.steals().unwrap_or(0),
-        warnings: preflight_warnings,
-    })
-}
-
-/// The per-worker loop: gate (auto-scaling), pop, execute, route, repeat;
-/// initiate or obey poison-pill termination.
-fn dynamic_worker(
-    worker: usize,
-    engine: &Engine,
-    opts: &ExecutionOptions,
-) -> Result<(), CoreError> {
-    let graph = engine.exe.graph();
-    let mut pes: HashMap<PeId, Box<dyn crate::pe::ProcessingElement>> = HashMap::new();
-    let mut router = Router::new();
-    let mut retries: u32 = 0;
-    let term = opts.termination;
-
-    // Process-time span bookkeeping: active from now until parked/exit.
-    let span_start = Mutex::new(Some(Instant::now()));
-    let flush_span = |ledger: &ActiveTimeLedger| {
-        if let Some(start) = span_start.lock().take() {
-            ledger.record(worker, start.elapsed());
-        }
-    };
-    let open_span = || {
-        *span_start.lock() = Some(Instant::now());
-    };
-
-    loop {
-        if engine.shutdown.load(Ordering::SeqCst) {
-            break;
-        }
-        if let Some(scaler) = &engine.scaler {
-            let gate = scaler.gate(worker, |parked| {
-                if parked {
-                    flush_span(&engine.ledger);
-                } else {
-                    open_span();
-                }
-            });
-            if gate == Gate::Shutdown {
-                break;
-            }
-        }
-        let batch = engine
-            .queue
-            .pop_batch(worker, POP_BATCH, term.poll_timeout)?;
-        if batch.is_empty() {
-            let quiescent = !term.strict || engine.outstanding.load(Ordering::SeqCst) == 0;
-            if quiescent {
-                retries += 1;
-                if retries > term.max_retries {
-                    // This worker decides the workflow is done and
-                    // broadcasts poison pills (§3.2.3).
-                    engine.shutdown.store(true, Ordering::SeqCst);
-                    engine.broadcast_pills();
-                    if let Some(scaler) = &engine.scaler {
-                        scaler.request_shutdown();
-                    }
-                    break;
-                }
-            } else {
-                retries = 0;
-            }
-            continue;
-        }
-        let mut saw_pill = false;
-        for item in batch {
-            match item {
-                QueueItem::Pill => {
-                    // Obey the pill only after finishing the rest of this
-                    // batch: tasks drained alongside it were pushed with
-                    // outstanding-counter increments and must still run.
-                    saw_pill = true;
-                    engine.shutdown.store(true, Ordering::SeqCst);
-                    if let Some(scaler) = &engine.scaler {
-                        scaler.request_shutdown();
-                    }
-                }
-                QueueItem::Flush => { /* hybrid-only control; ignore */ }
-                QueueItem::Task(task) => {
-                    retries = 0;
-                    execute_task(worker, engine, graph, &mut pes, &mut router, task)?;
-                    // Saturating decrement: an at-least-once queue may re-deliver a
-                    // task, and a second decrement must not wrap the counter.
-                    let _ =
-                        engine
-                            .outstanding
-                            .fetch_update(Ordering::SeqCst, Ordering::SeqCst, |n| n.checked_sub(1));
-                }
-            }
-        }
-        if saw_pill {
-            break;
-        }
-    }
-    flush_span(&engine.ledger);
-    Ok(())
-}
-
-/// Executes one task on this worker's private PE copy and routes emissions
-/// back into the global queue.
-fn execute_task(
-    worker: usize,
-    engine: &Engine,
-    graph: &d4py_graph::WorkflowGraph,
-    pes: &mut HashMap<PeId, Box<dyn crate::pe::ProcessingElement>>,
-    router: &mut Router,
-    task: Task,
-) -> Result<(), CoreError> {
-    let pe = match pes.entry(task.pe) {
-        std::collections::hash_map::Entry::Occupied(e) => e.into_mut(),
-        std::collections::hash_map::Entry::Vacant(e) => e.insert(engine.exe.instantiate(task.pe)?),
-    };
-    let mut buf = EmitBuffer::new(worker, engine.workers);
-    let started = Instant::now();
-    if !crate::pe::process_guarded(pe, &task.port, task.value, &mut buf) {
-        // relaxed: monotonic statistics counter; the final read happens
-        // after the worker joins.
-        engine.failed_tasks.fetch_add(1, Ordering::Relaxed);
-        return Ok(());
-    }
-    engine.latency.record(started.elapsed());
-    // relaxed: monotonic statistics counter; the final read happens after
-    // the worker joins.
-    engine.tasks_executed.fetch_add(1, Ordering::Relaxed);
-    if let Some(spec) = graph.pe(task.pe) {
-        engine.pe_counts.add(&spec.name, 1);
-    }
-    let mut fan_out: Vec<QueueItem> = Vec::new();
-    for (port, value) in buf.drain() {
-        for (conn_id, conn) in graph.outgoing_from_port(task.pe, &port) {
-            // Stateless validation guarantees Shuffle; Route::One(_) under
-            // dynamic scheduling means "any worker", so the instance index
-            // is discarded — the queue pop decides who runs it.
-            match router.route(conn_id, &conn.grouping, &value, 1) {
-                Route::One(_) => {
-                    fan_out.push(QueueItem::Task(Task::new(
-                        conn.to_pe,
-                        conn.to_port.clone(),
-                        value.clone(),
-                    )));
-                }
-                Route::All => {
-                    // Unreachable after require_stateless; count defensively.
-                    // relaxed: monotonic statistics counter.
-                    engine.dropped_emissions.fetch_add(1, Ordering::Relaxed);
-                }
-            }
-        }
-    }
-    if !fan_out.is_empty() {
-        // Children are counted before the parent's decrement (quiescence
-        // invariant) and pushed as one batch tagged with this worker's
-        // identity: one wakeup for the whole fan-out, and a work-stealing
-        // queue keeps it on this worker's local.
-        engine
-            .outstanding
-            .fetch_add(fan_out.len(), Ordering::SeqCst);
-        engine.queue.push_batch(Some(worker), fan_out)?;
-    }
-    Ok(())
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::error::CoreError;
+    use crate::executable::Executable;
+    use crate::fault::FaultPlan;
+    use crate::mapping::Mapping;
+    use crate::mappings::engine::{self, testkit::FlakyFactory, RunPlan};
+    use crate::mappings::hybrid::ChannelQueueFactory;
+    use crate::mappings::DynMulti;
+    use crate::metrics::RunReport;
+    use crate::options::ExecutionOptions;
     use crate::pe::{Collector, Context, FnSource, FnTransform};
-    use crate::queue::ChannelQueue;
     use crate::value::Value;
     use d4py_graph::{Grouping, PeSpec, WorkflowGraph};
+    use std::sync::atomic::AtomicUsize;
+    use std::time::Instant;
+
+    /// A zero-slot plan over channel queues.
+    fn run_plan(exe: &Executable, opts: &ExecutionOptions, plan: RunPlan<'_>) -> RunReport {
+        engine::run(exe, opts, &plan).unwrap()
+    }
+
+    fn auto_plan(mapping: &'static str, setup: AutoscaleSetup) -> RunPlan<'static> {
+        RunPlan {
+            autoscale: Some(setup),
+            ..RunPlan::new(mapping, &ChannelQueueFactory)
+        }
+    }
 
     fn pipeline_exe(items: i64) -> (Executable, std::sync::Arc<d4py_sync::Mutex<Vec<Value>>>) {
         let mut g = WorkflowGraph::new("t");
@@ -373,15 +91,17 @@ mod tests {
     }
 
     fn run(exe: &Executable, workers: usize) -> RunReport {
-        let queue = Arc::new(ChannelQueue::new(workers));
-        run_dynamic(
+        run_plan(
             exe,
             &ExecutionOptions::new(workers),
-            queue,
-            "dyn_test",
-            None,
+            RunPlan::new("dyn_test", &ChannelQueueFactory),
         )
-        .unwrap()
+    }
+
+    fn sorted_ints(results: &d4py_sync::Mutex<Vec<Value>>) -> Vec<i64> {
+        let mut got: Vec<i64> = results.lock().iter().map(|v| v.as_int().unwrap()).collect();
+        got.sort_unstable();
+        got
     }
 
     #[test]
@@ -397,9 +117,10 @@ mod tests {
     fn many_workers_process_everything_exactly_once() {
         let (exe, results) = pipeline_exe(200);
         run(&exe, 8);
-        let mut got: Vec<i64> = results.lock().iter().map(|v| v.as_int().unwrap()).collect();
-        got.sort_unstable();
-        assert_eq!(got, (0..200).map(|i| i * 3).collect::<Vec<_>>());
+        assert_eq!(
+            sorted_ints(&results),
+            (0..200).map(|i| i * 3).collect::<Vec<_>>()
+        );
     }
 
     #[test]
@@ -415,18 +136,21 @@ mod tests {
             Box::new(FnTransform(|_: &str, _: Value, _: &mut dyn Context| {}))
         });
         let exe = exe.seal().unwrap();
-        let queue = Arc::new(ChannelQueue::new(2));
-        let err =
-            run_dynamic(&exe, &ExecutionOptions::new(2), queue, "dyn_test", None).unwrap_err();
+        let err = DynMulti
+            .execute(&exe, &ExecutionOptions::new(2))
+            .unwrap_err();
         assert!(matches!(err, CoreError::UnsupportedWorkflow { .. }));
     }
 
     #[test]
     fn zero_workers_rejected() {
         let (exe, _) = pipeline_exe(1);
-        let queue = Arc::new(ChannelQueue::new(1));
         assert!(matches!(
-            run_dynamic(&exe, &ExecutionOptions::new(0), queue, "dyn_test", None),
+            engine::run(
+                &exe,
+                &ExecutionOptions::new(0),
+                &RunPlan::new("dyn_test", &ChannelQueueFactory)
+            ),
             Err(CoreError::InvalidOptions(_))
         ));
     }
@@ -446,7 +170,6 @@ mod tests {
     fn autoscaled_run_records_trace() {
         let (exe, results) = pipeline_exe(300);
         let workers = 8;
-        let queue = Arc::new(ChannelQueue::new(workers));
         let setup = AutoscaleSetup {
             config: AutoscaleConfig {
                 tick: std::time::Duration::from_micros(500),
@@ -454,14 +177,11 @@ mod tests {
             },
             strategy: Box::new(|q| Box::new(crate::autoscale::QueueSizeStrategy::new(q, 4.0))),
         };
-        let report = run_dynamic(
+        let report = run_plan(
             &exe,
             &ExecutionOptions::new(workers),
-            queue,
-            "dyn_auto_test",
-            Some(setup),
-        )
-        .unwrap();
+            auto_plan("dyn_auto_test", setup),
+        );
         assert_eq!(results.lock().len(), 300);
         assert!(
             !report.scaling_trace.is_empty(),
@@ -501,19 +221,12 @@ mod tests {
         };
         let workers = 8;
 
-        let plain = {
-            let queue = Arc::new(ChannelQueue::new(workers));
-            run_dynamic(
-                &build(),
-                &ExecutionOptions::new(workers),
-                queue,
-                "dyn",
-                None,
-            )
-            .unwrap()
-        };
+        let plain = run_plan(
+            &build(),
+            &ExecutionOptions::new(workers),
+            RunPlan::new("dyn", &ChannelQueueFactory),
+        );
         let auto = {
-            let queue = Arc::new(ChannelQueue::new(workers));
             let setup = AutoscaleSetup {
                 config: AutoscaleConfig {
                     initial_active: Some(2),
@@ -522,14 +235,11 @@ mod tests {
                 },
                 strategy: Box::new(|q| Box::new(crate::autoscale::QueueSizeStrategy::new(q, 50.0))),
             };
-            run_dynamic(
+            run_plan(
                 &build(),
                 &ExecutionOptions::new(workers),
-                queue,
-                "dyn_auto",
-                Some(setup),
+                auto_plan("dyn_auto", setup),
             )
-            .unwrap()
         };
         assert!(
             auto.process_time < plain.process_time,
@@ -537,5 +247,59 @@ mod tests {
             auto.process_time,
             plain.process_time
         );
+    }
+
+    #[test]
+    fn pill_storm_under_a_zero_slot_plan_stays_exact_and_warns() {
+        let (exe, results) = pipeline_exe(100);
+        let plan = RunPlan {
+            faults: FaultPlan::default().with_pill_storm(10, 12),
+            ..RunPlan::new("dyn_test", &ChannelQueueFactory)
+        };
+        let report = run_plan(&exe, &ExecutionOptions::new(4), plan);
+        assert_eq!(
+            sorted_ints(&results),
+            (0..100).map(|i| i * 3).collect::<Vec<_>>()
+        );
+        assert!(
+            report
+                .warnings
+                .iter()
+                .any(|w| w.contains("spurious poison pill")),
+            "spurious-pill warning missing: {:?}",
+            report.warnings
+        );
+    }
+
+    #[test]
+    fn transport_retries_under_a_zero_slot_plan_stay_exact_and_warn() {
+        let (exe, results) = pipeline_exe(100);
+        let factory = FlakyFactory {
+            charges: Arc::new(AtomicUsize::new(3)),
+        };
+        let report = run_plan(
+            &exe,
+            &ExecutionOptions::new(4).with_transport_retries(3),
+            RunPlan::new("dyn_test", &factory),
+        );
+        assert_eq!(
+            sorted_ints(&results),
+            (0..100).map(|i| i * 3).collect::<Vec<_>>()
+        );
+        assert!(
+            report
+                .warnings
+                .iter()
+                .any(|w| w.contains("transient transport error")),
+            "retry warning missing: {:?}",
+            report.warnings
+        );
+    }
+
+    #[test]
+    fn dynamic_run_reports_one_latency_sample_per_task() {
+        let (exe, _) = pipeline_exe(50);
+        let report = run(&exe, 4);
+        assert_eq!(report.task_latency.count, report.tasks_executed);
     }
 }

@@ -1,8 +1,10 @@
-//! Enactment engines: simple, static multi, dynamic, auto-scaling, hybrid.
+//! Enactment engines: `simple`, static `multi`, and the one dynamic engine
+//! ([`engine`]) behind the dynamic, auto-scaling and hybrid planners.
 
 pub mod dyn_auto_multi;
 pub mod dyn_multi;
 pub mod dynamic;
+pub mod engine;
 pub mod hybrid;
 pub mod multi;
 pub mod simple;

@@ -59,7 +59,7 @@ impl Mapping for Multi {
         let ledger = Arc::new(ActiveTimeLedger::new(instances.len()));
         let tasks_executed = Arc::new(AtomicU64::new(0));
         let failed_tasks = Arc::new(AtomicU64::new(0));
-        let pe_counts = Arc::new(PeTaskCounts::new());
+        let pe_counts = Arc::new(PeTaskCounts::new(graph));
 
         // One channel per instance, indexed [pe][instance].
         let mut senders: Vec<Vec<Sender<Msg>>> = Vec::with_capacity(graph.pe_count());
@@ -127,7 +127,7 @@ impl Mapping for Multi {
             scaling_trace: vec![],
             dropped_emissions: 0,
             failed_tasks: failed_tasks.load(Ordering::Relaxed),
-            per_pe_tasks: pe_counts.snapshot(),
+            per_pe_tasks: pe_counts.snapshot(graph),
             task_latency: crate::metrics::LatencySummary::default(),
             queue_steals: 0,
             warnings: preflight_warnings,
@@ -160,10 +160,6 @@ fn instance_worker(
     counts: &PeTaskCounts,
 ) {
     let active_since = Instant::now();
-    let pe_name = graph
-        .pe(inst.pe)
-        .map(|s| s.name.clone())
-        .unwrap_or_default();
     let mut processed_here: u64 = 0;
     let mut router = Router::new();
     let n_instances = plan.instances_of(inst.pe);
@@ -215,7 +211,7 @@ fn instance_worker(
         }
     }
     if processed_here > 0 {
-        counts.add(&pe_name, processed_here);
+        counts.add(inst.pe, processed_here);
     }
     ledger.record(worker_idx, active_since.elapsed());
 }

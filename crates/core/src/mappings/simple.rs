@@ -42,7 +42,7 @@ impl Mapping for Simple {
         let mut router = Router::new();
         let mut queue: VecDeque<Task> = graph.sources().into_iter().map(Task::kickoff).collect();
         let mut tasks_executed: u64 = 0;
-        let pe_counts = PeTaskCounts::new();
+        let pe_counts = PeTaskCounts::new(graph);
 
         let mut run_task = |task: Task,
                             pes: &mut Vec<Box<dyn crate::pe::ProcessingElement>>,
@@ -51,9 +51,7 @@ impl Mapping for Simple {
             let mut buf = EmitBuffer::new(0, 1);
             pes[task.pe.0].process(&task.port, task.value, &mut buf);
             tasks_executed += 1;
-            if let Some(spec) = graph.pe(task.pe) {
-                pe_counts.add(&spec.name, 1);
-            }
+            pe_counts.add(task.pe, 1);
             route_emissions(graph, task.pe, buf, router, queue);
         };
 
@@ -86,7 +84,7 @@ impl Mapping for Simple {
             // The sequential mapping is the debugging engine: panics
             // propagate to the caller instead of being contained.
             failed_tasks: 0,
-            per_pe_tasks: pe_counts.snapshot(),
+            per_pe_tasks: pe_counts.snapshot(graph),
             task_latency: crate::metrics::LatencySummary::default(),
             queue_steals: 0,
             warnings: preflight_warnings,

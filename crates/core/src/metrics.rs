@@ -13,7 +13,9 @@
 //! monitored metric) series that Figure 13 plots; [`RunReport`] packages
 //! everything a mapping returns.
 
+use d4py_graph::{PeId, WorkflowGraph};
 use d4py_sync::Mutex;
+use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::{Duration, Instant};
 
@@ -60,11 +62,13 @@ impl ActiveTimeLedger {
     }
 }
 
-/// RAII helper: measures one active span and records it on drop.
+/// RAII helper: measures one worker's active time and records it on drop.
+/// [`pause`](Self::pause) closes the current span (the worker parks) and
+/// [`resume`](Self::resume) opens the next one.
 pub struct ActiveSpan<'a> {
     ledger: &'a ActiveTimeLedger,
     worker: usize,
-    started: Instant,
+    started: Option<Instant>,
 }
 
 impl<'a> ActiveSpan<'a> {
@@ -73,14 +77,26 @@ impl<'a> ActiveSpan<'a> {
         Self {
             ledger,
             worker,
-            started: Instant::now(),
+            started: Some(Instant::now()),
         }
+    }
+
+    /// Records the open span, if any, and leaves the worker inactive.
+    pub fn pause(&mut self) {
+        if let Some(started) = self.started.take() {
+            self.ledger.record(self.worker, started.elapsed());
+        }
+    }
+
+    /// Opens a new span unless one is already open.
+    pub fn resume(&mut self) {
+        self.started.get_or_insert_with(Instant::now);
     }
 }
 
 impl Drop for ActiveSpan<'_> {
     fn drop(&mut self) {
-        self.ledger.record(self.worker, self.started.elapsed());
+        self.pause();
     }
 }
 
@@ -216,33 +232,40 @@ pub struct LatencySummary {
     pub p99: Option<Duration>,
 }
 
-/// Thread-safe per-PE task counters (how many items each PE processed).
-#[derive(Debug, Default)]
+/// Per-PE task counters (how many items each PE processed): one lock-free
+/// slot per [`PeId`], so counting a task on the hot path is one atomic add.
+#[derive(Debug)]
 pub struct PeTaskCounts {
-    counts: Mutex<std::collections::HashMap<String, u64>>,
+    counts: Vec<AtomicU64>,
 }
 
 impl PeTaskCounts {
-    /// Creates an empty counter set.
-    pub fn new() -> Self {
-        Self::default()
+    /// Creates a zeroed counter for every PE of `graph`.
+    pub fn new(graph: &WorkflowGraph) -> Self {
+        Self {
+            counts: (0..graph.pe_count()).map(|_| AtomicU64::new(0)).collect(),
+        }
     }
 
     /// Adds `n` processed items to `pe`.
-    pub fn add(&self, pe: &str, n: u64) {
-        *self.counts.lock().entry(pe.to_string()).or_insert(0) += n;
+    pub fn add(&self, pe: PeId, n: u64) {
+        // relaxed: monotonic statistics counter; snapshotted after the
+        // run's joins.
+        self.counts[pe.0].fetch_add(n, Ordering::Relaxed);
     }
 
-    /// Snapshot sorted by PE name.
-    pub fn snapshot(&self) -> Vec<(String, u64)> {
-        let mut rows: Vec<(String, u64)> = self
-            .counts
-            .lock()
-            .iter()
-            .map(|(k, v)| (k.clone(), *v))
-            .collect();
-        rows.sort();
-        rows
+    /// The PEs that processed anything, by name (PEs sharing a name are
+    /// summed), sorted by name.
+    pub fn snapshot(&self, graph: &WorkflowGraph) -> Vec<(String, u64)> {
+        let mut rows: BTreeMap<String, u64> = BTreeMap::new();
+        for (id, spec) in graph.pes() {
+            // relaxed: read after the run's joins (see `add`).
+            let n = self.counts[id.0].load(Ordering::Relaxed);
+            if n > 0 {
+                *rows.entry(spec.name.clone()).or_insert(0) += n;
+            }
+        }
+        rows.into_iter().collect()
     }
 }
 
@@ -273,7 +296,9 @@ pub struct RunReport {
     /// operator reads to find the bottleneck.
     pub per_pe_tasks: Vec<(String, u64)>,
     /// Per-task service-time quantiles (time inside `process()`, queue wait
-    /// excluded). Only the dynamic-family engines populate this.
+    /// excluded), one sample per successfully executed task. The dynamic
+    /// and hybrid mappings populate this (`count == tasks_executed`); the
+    /// static `simple` and `multi` engines leave it empty.
     pub task_latency: LatencySummary,
     /// Tasks delivered by work stealing (a worker popping from a peer's
     /// local queue). Zero for the single-global-queue topologies and for

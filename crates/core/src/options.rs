@@ -4,24 +4,32 @@ use crate::platform::{CoreLimiter, Platform};
 use std::sync::Arc;
 use std::time::Duration;
 
-/// The retry + poison-pill termination protocol for dynamic mappings
-/// (§3.2.3 of the paper).
+/// Termination of the dynamic-family mappings.
 ///
-/// A worker that finds the queue empty waits `poll_timeout` and retries up
-/// to `max_retries` times before deciding the workflow is finished; it then
-/// broadcasts poison pills so the other workers stop quickly instead of each
-/// independently exhausting their own retries.
+/// Strict mode (the default) needs no parameter: the engine's
+/// outstanding-task counter proves the run is finished, and the calling
+/// thread then flushes stateful PEs and sends poison pills at once. With
+/// `strict: false` and no pinned stateful slot, the engine runs the
+/// paper's retry + poison-pill protocol (§3.2.3) instead: a worker that
+/// finds the queue empty waits `poll_timeout` and retries up to
+/// `max_retries` times before deciding the workflow is finished; it then
+/// broadcasts poison pills so the other workers stop quickly instead of
+/// each independently exhausting their own retries.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct TerminationConfig {
-    /// How long one empty-queue poll blocks before returning.
+    /// How long one empty-queue poll blocks before returning. In strict
+    /// mode this only bounds how often an idle worker re-checks the
+    /// shutdown flag.
     pub poll_timeout: Duration,
-    /// Empty polls tolerated before a worker initiates termination.
+    /// Empty polls tolerated before a worker initiates termination. Applies
+    /// only with `strict: false`.
     pub max_retries: u32,
-    /// When true (default), a worker only *begins* counting retries once the
-    /// engine's outstanding-task counter reads zero, making termination
-    /// sound rather than heuristic. Disabling reproduces the paper's
-    /// original purely queue-emptiness-based check (which it notes "is not
-    /// foolproof and could lead to unexpected exits in some extreme cases").
+    /// When true (default), termination is driven by the outstanding-task
+    /// counter reaching zero, which makes it sound rather than heuristic.
+    /// Disabling reproduces the paper's original purely
+    /// queue-emptiness-based check (which it notes "is not foolproof and
+    /// could lead to unexpected exits in some extreme cases"); workflows
+    /// with stateful PEs always terminate strictly.
     pub strict: bool,
 }
 
@@ -43,7 +51,7 @@ pub struct ExecutionOptions {
     /// Simulated-core limiter (see [`crate::platform`]). Defaults to
     /// unlimited, i.e. no platform simulation.
     pub limiter: Arc<CoreLimiter>,
-    /// Termination protocol parameters for dynamic mappings.
+    /// Termination protocol of the dynamic-family mappings.
     pub termination: TerminationConfig,
     /// How many consecutive transient transport errors one queue operation
     /// may absorb before the run fails. The default of 0 preserves the

@@ -6,9 +6,10 @@ use d4py_core::autoscale::{AutoscaleConfig, IdleTimeStrategy};
 use d4py_core::error::CoreError;
 use d4py_core::executable::Executable;
 use d4py_core::fault::FaultPlan;
-use d4py_core::mapping::Mapping;
-use d4py_core::mappings::dynamic::{run_dynamic, AutoscaleSetup};
-use d4py_core::mappings::hybrid::{run_hybrid_with_faults, QueueFactory};
+use d4py_core::mapping::{require_stateless, Mapping};
+use d4py_core::mappings::dynamic::AutoscaleSetup;
+use d4py_core::mappings::engine::{self, RunPlan};
+use d4py_core::mappings::hybrid::QueueFactory;
 use d4py_core::metrics::RunReport;
 use d4py_core::options::ExecutionOptions;
 use d4py_core::queue::TaskQueue;
@@ -18,14 +19,29 @@ use std::sync::Arc;
 /// Process-wide counter so concurrent runs never collide on stream keys.
 static RUN_COUNTER: AtomicU64 = AtomicU64::new(0);
 
-fn fresh_key(prefix: &str) -> String {
-    format!(
-        "d4py:{}:{}",
-        prefix,
+/// Redis streams for one run: `d4py:<mapping>:<run>:<queue name>`.
+struct RedisQueueFactory {
+    backend: RedisBackend,
+    prefix: String,
+}
+
+impl RedisQueueFactory {
+    fn fresh(backend: &RedisBackend, mapping: &str) -> Self {
         // relaxed: uniqueness-only run id — no other memory depends on
         // its ordering.
-        RUN_COUNTER.fetch_add(1, Ordering::Relaxed)
-    )
+        let run = RUN_COUNTER.fetch_add(1, Ordering::Relaxed);
+        Self {
+            backend: backend.clone(),
+            prefix: format!("d4py:{mapping}:{run}"),
+        }
+    }
+}
+
+impl QueueFactory for RedisQueueFactory {
+    fn make(&self, name: &str, consumers: usize) -> Result<Arc<dyn TaskQueue>, CoreError> {
+        let key = format!("{}:{name}", self.prefix);
+        Ok(Arc::new(RedisQueue::new(&self.backend, key, consumers)?))
+    }
 }
 
 /// `dyn_redis` (§3.1.1): dynamic scheduling whose global queue is a Redis
@@ -48,12 +64,9 @@ impl Mapping for DynRedis {
     }
 
     fn execute(&self, exe: &Executable, opts: &ExecutionOptions) -> Result<RunReport, CoreError> {
-        let queue = Arc::new(RedisQueue::new(
-            &self.backend,
-            fresh_key("queue"),
-            opts.workers,
-        )?);
-        run_dynamic(exe, opts, queue, self.name(), None)
+        require_stateless(exe, self.name())?;
+        let queues = RedisQueueFactory::fresh(&self.backend, self.name());
+        engine::run(exe, opts, &RunPlan::new(self.name(), &queues))
     }
 }
 
@@ -91,19 +104,19 @@ impl Mapping for DynAutoRedis {
     }
 
     fn execute(&self, exe: &Executable, opts: &ExecutionOptions) -> Result<RunReport, CoreError> {
-        let queue = Arc::new(RedisQueue::new(
-            &self.backend,
-            fresh_key("queue"),
-            opts.workers,
-        )?);
+        require_stateless(exe, self.name())?;
+        let queues = RedisQueueFactory::fresh(&self.backend, self.name());
         let threshold = self.config.threshold;
-        let setup = AutoscaleSetup {
-            config: self.config,
-            strategy: Box::new(move |q: Arc<dyn TaskQueue>| {
-                Box::new(IdleTimeStrategy::new(q, threshold))
+        let plan = RunPlan {
+            autoscale: Some(AutoscaleSetup {
+                config: self.config,
+                strategy: Box::new(move |q: Arc<dyn TaskQueue>| {
+                    Box::new(IdleTimeStrategy::new(q, threshold))
+                }),
             }),
+            ..RunPlan::new(self.name(), &queues)
         };
-        run_dynamic(exe, opts, queue, self.name(), Some(setup))
+        engine::run(exe, opts, &plan)
     }
 }
 
@@ -152,41 +165,19 @@ impl std::fmt::Debug for HybridRedis {
     }
 }
 
-struct RedisQueueFactory {
-    backend: RedisBackend,
-    run: u64,
-}
-
-impl QueueFactory for RedisQueueFactory {
-    fn make(&self, name: &str, consumers: usize) -> Result<Arc<dyn TaskQueue>, CoreError> {
-        let key = format!("d4py:hybrid:{}:{}", self.run, name);
-        Ok(Arc::new(RedisQueue::new(
-            &self.backend,
-            key,
-            consumers.max(1),
-        )?))
-    }
-}
-
 impl Mapping for HybridRedis {
     fn name(&self) -> &'static str {
         "hybrid_redis"
     }
 
     fn execute(&self, exe: &Executable, opts: &ExecutionOptions) -> Result<RunReport, CoreError> {
-        let factory = RedisQueueFactory {
-            backend: self.backend.clone(),
-            // relaxed: uniqueness-only run id (see `unique_prefix`).
-            run: RUN_COUNTER.fetch_add(1, Ordering::Relaxed),
+        let queues = RedisQueueFactory::fresh(&self.backend, self.name());
+        let plan = RunPlan {
+            state: self.state.clone(),
+            faults: self.faults.clone(),
+            ..RunPlan::new(self.name(), &queues)
         };
-        run_hybrid_with_faults(
-            exe,
-            opts,
-            &factory,
-            self.name(),
-            self.state.clone(),
-            &self.faults,
-        )
+        engine::run(exe, opts, &plan)
     }
 }
 

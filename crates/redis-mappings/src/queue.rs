@@ -465,9 +465,9 @@ mod tests {
 
     #[test]
     fn reliable_mode_completes_a_dynamic_workflow() {
-        // End-to-end: the reliable queue drives run_dynamic unchanged.
+        // End-to-end: the reliable queue drives the engine unchanged.
         use d4py_core::executable::Executable;
-        use d4py_core::mappings::dynamic::run_dynamic;
+        use d4py_core::mappings::engine::{self, RunPlan};
         use d4py_core::options::ExecutionOptions;
         use d4py_core::pe::{Context, CountingSink, FnSource};
         use d4py_graph::{Grouping, PeSpec, WorkflowGraph};
@@ -490,14 +490,14 @@ mod tests {
         let exe = exe.seal().unwrap();
 
         let backend = RedisBackend::in_proc();
-        let q =
-            Arc::new(RedisQueue::new_reliable(&backend, "wf", 3, Duration::from_secs(5)).unwrap());
-        run_dynamic(
+        let queues = |name: &str, consumers: usize| -> Result<Arc<dyn TaskQueue>, CoreError> {
+            let q = RedisQueue::new_reliable(&backend, name, consumers, Duration::from_secs(5))?;
+            Ok(Arc::new(q))
+        };
+        engine::run(
             &exe,
             &ExecutionOptions::new(3),
-            q,
-            "dyn_redis_reliable",
-            None,
+            &RunPlan::new("dyn_redis_reliable", &queues),
         )
         .unwrap();
         assert_eq!(count.load(std::sync::atomic::Ordering::Relaxed), 25);

@@ -16,6 +16,9 @@
 //!   locals plus a shared injector, with seeded-PCG32 victim selection
 //!   and the channel's park protocol — the dispatch topology that breaks
 //!   the single-global-queue scaling plateau;
+//! * [`quiesce`] — an outstanding-work counter whose coordinator blocks
+//!   until it reads zero, woken by the last decrement (the engines'
+//!   counter-driven termination);
 //! * [`Mutex`] / [`Condvar`] / [`RwLock`] — poison-free wrappers over
 //!   `std::sync` with the `parking_lot` API shape;
 //! * [`buf::ByteBuf`] — a growable byte buffer with `put_*` helpers
@@ -36,7 +39,7 @@
 //!   (hand-rolled writer + parser; the workspace stays serde-free) that
 //!   the `bench-compare` regression gate consumes;
 //! * [`model`] — a deterministic loom-style concurrency model checker;
-//!   `--cfg d4py_model` builds swap [`segqueue`]/[`channel`] onto its
+//!   `--cfg d4py_model` builds swap [`segqueue`]/[`channel`]/[`quiesce`] onto its
 //!   instrumented shims (see `facade`) so the exact shipped source is
 //!   explored across thread interleavings.
 
@@ -50,6 +53,7 @@ pub mod crc;
 mod facade;
 pub mod model;
 pub mod prop;
+pub mod quiesce;
 pub mod report;
 pub mod rng;
 pub mod segqueue;

@@ -15,6 +15,7 @@
 use d4py_sync::channel::unbounded;
 use d4py_sync::model::shim::{AtomicUsize, Ordering};
 use d4py_sync::model::{self, Checker, FailureKind, Mode};
+use d4py_sync::quiesce::Quiescence;
 use d4py_sync::segqueue::SegQueue;
 use d4py_sync::steal::StealQueue;
 use std::sync::{Arc, Mutex};
@@ -585,5 +586,110 @@ fn steal_batch_wakeup_reaches_every_parked_worker() {
                 h.join();
             }
             assert_eq!(q.len(), 0, "both items consumed exactly once");
+        });
+}
+
+/// The engine's termination race: worker A runs the last task, whose
+/// late fan-out spawns a child that worker B picks up. A counts the child
+/// before it publishes it and retires the parent after; B retires the
+/// child. The coordinator must never wake on a false zero (the assertion
+/// after `wait`) and never sleep through the true one (a deadlock).
+/// `retire_before_fanout` reverses A's order — the bug the ordering rule
+/// exists to prevent.
+fn last_decrement_vs_late_fanout(retire_before_fanout: bool) {
+    let q = Arc::new(Quiescence::new());
+    let child = Arc::new(AtomicUsize::new(0));
+    let retired = Arc::new(AtomicUsize::new(0));
+    q.add(1); // the last task, already published
+    let a = {
+        let (q, child, retired) = (q.clone(), child.clone(), retired.clone());
+        model::thread::spawn(move || {
+            if retire_before_fanout {
+                retired.fetch_add(1, Ordering::SeqCst);
+                q.done();
+                q.add(1);
+            } else {
+                q.add(1);
+                retired.fetch_add(1, Ordering::SeqCst);
+            }
+            child.store(1, Ordering::SeqCst);
+            if !retire_before_fanout {
+                q.done();
+            }
+        })
+    };
+    let b = {
+        let (q, child, retired) = (q.clone(), child.clone(), retired.clone());
+        model::thread::spawn(move || {
+            while child.load(Ordering::SeqCst) == 0 {
+                model::thread::yield_now();
+            }
+            retired.fetch_add(1, Ordering::SeqCst);
+            q.done();
+        })
+    };
+    assert!(q.wait(), "nobody aborted");
+    assert_eq!(
+        retired.load(Ordering::SeqCst),
+        2,
+        "coordinator woke on a false zero"
+    );
+    a.join();
+    b.join();
+}
+
+#[test]
+fn quiesce_last_decrement_vs_late_fanout() {
+    Checker::new("quiesce-late-fanout")
+        .iterations_env(3_000)
+        .check(|| last_decrement_vs_late_fanout(false));
+}
+
+/// Control: retiring the parent before counting its fan-out exposes a
+/// false zero, and the checker finds the schedule that shows it.
+#[test]
+fn quiesce_retire_before_fanout_is_caught_as_false_zero() {
+    let report = Checker::new("quiesce-false-zero")
+        .iterations(5_000)
+        .report(|| last_decrement_vs_late_fanout(true));
+    let failure = report
+        .failure
+        .expect("a misordered retire must expose a false zero");
+    assert_eq!(failure.kind, FailureKind::Panic);
+}
+
+/// Acceptance criterion: notifying without the lock (fault
+/// `quiesce-notify-unlocked`) lets the last decrement's wakeup land
+/// between the coordinator's check and its wait — caught as a deadlock.
+#[test]
+fn quiesce_unlocked_notify_fault_is_caught_as_deadlock() {
+    let report = Checker::new("quiesce-unlocked-notify-fault")
+        .iterations(5_000)
+        .fault("quiesce-notify-unlocked")
+        .report(|| last_decrement_vs_late_fanout(false));
+    let failure = report.failure.expect("lost wakeup must be detected");
+    assert_eq!(failure.kind, FailureKind::Deadlock);
+    assert!(
+        failure.trace.contains("condvar#"),
+        "trace should show the condvar wait:\n{}",
+        failure.trace
+    );
+}
+
+/// A crashing worker's abort releases the coordinator even though its
+/// unit of work is never retired.
+#[test]
+fn quiesce_abort_releases_the_waiter() {
+    Checker::new("quiesce-abort")
+        .iterations_env(2_000)
+        .check(|| {
+            let q = Arc::new(Quiescence::new());
+            q.add(1);
+            let crasher = {
+                let q = q.clone();
+                model::thread::spawn(move || q.abort())
+            };
+            assert!(!q.wait(), "an aborted run is not quiescent");
+            crasher.join();
         });
 }

@@ -328,22 +328,23 @@ mod tests {
 
     #[test]
     fn warm_start_pairs_new_stations_against_previous_session() {
-        use d4py_core::mappings::hybrid::{run_hybrid_with_state, ChannelQueueFactory};
+        use d4py_core::mappings::engine::{self, RunPlan};
+        use d4py_core::mappings::hybrid::ChannelQueueFactory;
         use d4py_core::state::MemoryStateStore;
 
         let store = MemoryStateStore::new();
         let opts = ExecutionOptions::new(4);
+        let run_with_state = |exe: &Executable| {
+            let plan = RunPlan {
+                state: Some(store.clone()),
+                ..RunPlan::new("hybrid_multi", &ChannelQueueFactory)
+            };
+            engine::run(exe, &opts, &plan)
+        };
 
         // Session 1: 16 stations → C(16,2) pairs, state externalized.
         let (exe, _, pairs1) = build(&fast_cfg());
-        let r1 = run_hybrid_with_state(
-            &exe,
-            &opts,
-            &ChannelQueueFactory,
-            "hybrid_multi",
-            Some(store.clone()),
-        )
-        .expect("ports declared on the PeSpecs above");
+        let r1 = run_with_state(&exe).expect("ports declared on the PeSpecs above");
         assert_eq!(r1.tasks_executed, 1 + 16 + 2 * pairs1 as u64);
         assert!(r1.warnings.is_empty(), "{:?}", r1.warnings);
 
@@ -352,14 +353,7 @@ mod tests {
         // 16 old + previously-arrived new ones: C(32,2) − C(16,2) fresh
         // pairs this session.
         let (exe, _, _) = build(&fast_cfg().with_seed(99));
-        let r2 = run_hybrid_with_state(
-            &exe,
-            &opts,
-            &ChannelQueueFactory,
-            "hybrid_multi",
-            Some(store),
-        )
-        .expect("ports declared on the PeSpecs above");
+        let r2 = run_with_state(&exe).expect("ports declared on the PeSpecs above");
         let fresh_pairs = (32 * 31) / 2 - pairs1 as u64;
         assert_eq!(r2.tasks_executed, 1 + 16 + 2 * fresh_pairs);
     }

@@ -34,9 +34,10 @@ cargo run -q --release --offline -p d4py-bench --bin repro -- check --all --json
     || { echo "verify: FAIL — repro check reports Error diagnostics" >&2; exit 1; }
 
 # Model-checker smoke: the instrumented --cfg d4py_model build of the
-# lock-free core — channel park/wakeup protocol plus the steal-queue
-# sweep (steal-vs-pop exactly-once, no lost wakeup after a failed sweep,
-# timeout-steal rewake) — explored under a small iteration budget (CI
+# lock-free core — channel park/wakeup protocol, the steal-queue sweep
+# (steal-vs-pop exactly-once, no lost wakeup after a failed sweep,
+# timeout-steal rewake) and the engine's quiescence counter (last
+# decrement vs late fan-out) — explored under a small iteration budget (CI
 # runs the full budget in a dedicated job). Separate target dir so the
 # cfg flip does not thrash the main build cache.
 D4PY_MODEL_ITERS="${D4PY_MODEL_ITERS:-150}" \
@@ -79,9 +80,10 @@ D4PY_BENCH_QUICK=1 cargo run -q --release --offline -p d4py-bench --bin repro --
     chaos --quick \
     || { echo "verify: FAIL — chaos matrix smoke violated an invariant" >&2; exit 1; }
 
-for bench in ablation_queue redis_backend connections chaos_matrix; do
-    baseline="bench/baselines/BENCH_${bench}.json"
-    current="target/bench/BENCH_${bench}.json"
+# Every committed baseline is gated against this run's result of the same
+# name, so a new baseline needs no edit here.
+for baseline in bench/baselines/BENCH_*.json; do
+    current="target/bench/$(basename "$baseline")"
     if [[ -f "$baseline" && -f "$current" ]]; then
         cargo run -q --offline -p d4py-bench --bin bench-compare -- \
             "$baseline" "$current" \

@@ -368,14 +368,15 @@ fn run_with_store(
     exe: &Executable,
     store: std::sync::Arc<MemoryStateStore>,
 ) -> dispel4py::core::metrics::RunReport {
-    dispel4py::core::mappings::hybrid::run_hybrid_with_state(
-        exe,
-        &ExecutionOptions::new(2),
-        &dispel4py::core::mappings::hybrid::ChannelQueueFactory,
-        "hybrid_multi",
-        Some(store),
-    )
-    .unwrap()
+    use dispel4py::core::mappings::engine::{self, RunPlan};
+    let plan = RunPlan {
+        state: Some(store),
+        ..RunPlan::new(
+            "hybrid_multi",
+            &dispel4py::core::mappings::hybrid::ChannelQueueFactory,
+        )
+    };
+    engine::run(exe, &ExecutionOptions::new(2), &plan).unwrap()
 }
 
 #[test]

@@ -90,33 +90,16 @@ fn snapshots_cover_every_stateful_instance_that_saw_data() {
 
 #[test]
 fn memory_store_works_with_hybrid_multi() {
-    use dispel4py::core::mappings::hybrid::run_hybrid_with_state;
-    use dispel4py::core::mappings::hybrid::ChannelQueueFactory;
-
     let store = MemoryStateStore::new();
     let (exe, r1) = sentiment::build(&cfg(1, 3));
-    run_hybrid_with_state(
-        &exe,
-        &ExecutionOptions::new(8),
-        &ChannelQueueFactory,
-        "hybrid_multi",
-        Some(store.clone()),
-    )
-    .unwrap();
+    run_hybrid(&exe, store.clone());
     let first = total_count(&r1);
     // Scored twice per article (AFINN + SWN3): totals over all states would
     // be 2×100; the top-3 subset is smaller but positive.
     assert!(first > 0 && first <= 2 * ARTICLES_PER_X as i64);
 
     let (exe, r2) = sentiment::build(&cfg(1, 4));
-    run_hybrid_with_state(
-        &exe,
-        &ExecutionOptions::new(8),
-        &ChannelQueueFactory,
-        "hybrid_multi",
-        Some(store),
-    )
-    .unwrap();
+    run_hybrid(&exe, store);
     assert!(total_count(&r2) > first);
 }
 
@@ -197,15 +180,13 @@ fn committed_legacy_fixture_warm_starts_through_the_shim() {
 }
 
 fn run_hybrid(exe: &Executable, store: Arc<MemoryStateStore>) {
-    use dispel4py::core::mappings::hybrid::{run_hybrid_with_state, ChannelQueueFactory};
-    run_hybrid_with_state(
-        exe,
-        &ExecutionOptions::new(8),
-        &ChannelQueueFactory,
-        "hybrid_multi",
-        Some(store),
-    )
-    .unwrap();
+    use dispel4py::core::mappings::engine::{self, RunPlan};
+    use dispel4py::core::mappings::hybrid::ChannelQueueFactory;
+    let plan = RunPlan {
+        state: Some(store),
+        ..RunPlan::new("hybrid_multi", &ChannelQueueFactory)
+    };
+    engine::run(exe, &ExecutionOptions::new(8), &plan).unwrap();
 }
 
 #[test]
