@@ -7,6 +7,14 @@
 //! pinned slots. All workers run the same loop: auto-scaler gate (pool
 //! only) → `pop_batch` → execute → route → account → fault hook.
 //!
+//! Pinned workers are work-conserving: whenever its private queue is
+//! empty, a pinned worker helps the pool with one global task at a time
+//! and then looks at its private queue again. State locality still holds
+//! because only stateless tasks ever reach the global queue; a stateful
+//! task lives in its instance's private queue, which only the pinned
+//! worker reads, in FIFO order. Every worker is thus a consumer of the
+//! global queue, with a unique index below `workers`.
+//!
 //! Routing: a stateful target goes to the private queue of the instance
 //! its grouping selects; a stateless target goes to the global queue,
 //! where whoever pops first runs it.
@@ -87,7 +95,8 @@ struct Engine {
     private: HashMap<StatefulSlot, Arc<dyn TaskQueue>>,
     /// Instance count per stateful PE.
     stateful_instances: HashMap<PeId, usize>,
-    /// Pool workers (consumers of the global queue).
+    /// Pool workers: global consumers `0..pool`. Pinned worker `w` helps
+    /// as global consumer `pool + w`.
     pool: usize,
     /// Workers run the paper's retry protocol (`strict: false`, no pinned
     /// slot) instead of waiting for the coordinator's pills.
@@ -355,7 +364,8 @@ pub fn run(
         None => None,
     };
 
-    let global = plan.queues.make("global", pool.max(1))?;
+    // One consumer per worker: pool workers and helping pinned workers.
+    let global = plan.queues.make("global", opts.workers)?;
     let mut private = HashMap::new();
     let mut stateful_instances: HashMap<PeId, usize> = HashMap::new();
     for slot in &slots {
@@ -512,9 +522,16 @@ pub fn run(
     })
 }
 
-/// The worker loop, for a pinned slot (`slot` is `Some`: private queue,
-/// `Flush` handling, warm start) or a pool worker (global queue, scaler
-/// gate). Worker `w` is pool consumer `w - S` for `S` pinned slots.
+/// The worker loop. Worker `w` of a run with `S` pinned slots is either
+/// pinned (`slot` is `Some`: private queue, `Flush` handling, warm start)
+/// or pool consumer `c = w - S` of the global queue (scaler gate).
+///
+/// A pinned worker is work-conserving: it drains its private queue first,
+/// and when that is empty it pops at most one task from the global queue
+/// without blocking and runs it as pool consumer `pool + w` would, then
+/// re-checks its private queue. Only when both came up empty does it block
+/// on the private queue for `poll_timeout`. Stateful tasks never leave the
+/// private queue, so they still run only here, in FIFO order.
 fn work(
     engine: &Engine,
     w: usize,
@@ -524,26 +541,31 @@ fn work(
     let term = opts.termination;
     let mut span = ActiveSpan::open(&engine.ledger, w);
     let mut pes: HashMap<PeId, Box<dyn ProcessingElement>> = HashMap::new();
-    let (queue, consumer, instance, instances, scaler) = match slot {
+    // `consumer` indexes `queue`; `global_consumer` is this worker's unique
+    // index among the `opts.workers` consumers of the global queue.
+    let (queue, consumer, global_consumer, scaler) = match slot {
         Some(s) => {
             pes.insert(s.pe, engine.warm_start(s)?);
-            let n = engine.stateful_instances[&s.pe];
-            (&engine.private[&s], 0, s.instance, n, None)
+            (&engine.private[&s], 0, engine.pool + w, None)
         }
         None => {
             let c = w - engine.private.len();
-            (&engine.global, c, c, engine.pool, engine.scaler.as_ref())
+            (&engine.global, c, c, engine.scaler.as_ref())
         }
     };
-    // The pool tags its fan-out so a work-stealing queue keeps it local.
-    let producer = slot.is_none().then_some(consumer);
+    // The pool tags its fan-out so a work-stealing queue keeps it local; a
+    // helper goes back to its private queue, so its fan-out is shared.
+    let pool_tag = slot.is_none().then_some(consumer);
     let crash_after = match engine.crash_slot {
         Some((target, after)) if Some(target) == slot => Some(after),
         _ => None,
     };
     let mut router = Router::new();
     let mut retries: u32 = 0;
-    let mut processed: u64 = 0;
+    // Tasks of the pinned PE run so far (what the crash fault counts).
+    let mut own_tasks: u64 = 0;
+    // A pinned worker found both of its queues empty last time round.
+    let mut idle = false;
 
     loop {
         if let Some(scaler) = scaler {
@@ -558,7 +580,19 @@ fn work(
                 break;
             }
         }
-        let batch = engine.retrying(|| queue.pop_batch(consumer, POP_BATCH, term.poll_timeout))?;
+        let wait = if slot.is_some() && !idle {
+            Duration::ZERO
+        } else {
+            term.poll_timeout
+        };
+        let mut batch = engine.retrying(|| queue.pop_batch(consumer, POP_BATCH, wait))?;
+        let mut helping = false;
+        if batch.is_empty() && slot.is_some() && !engine.shutdown.load(Ordering::SeqCst) {
+            batch =
+                engine.retrying(|| engine.global.pop_batch(global_consumer, 1, Duration::ZERO))?;
+            helping = !batch.is_empty();
+        }
+        idle = batch.is_empty();
         if batch.is_empty() {
             if engine.shutdown.load(Ordering::SeqCst) {
                 break;
@@ -573,6 +607,12 @@ fn work(
             }
             continue;
         }
+        // The pinned slot whose private queue this batch came from, if any.
+        let own = slot.filter(|_| !helping);
+        let (instance, instances, producer) = match own {
+            Some(s) => (s.instance, engine.stateful_instances[&s.pe], None),
+            None => (global_consumer, opts.workers, pool_tag),
+        };
         // A pill drained mid-batch is obeyed only after the rest of the
         // batch ran: those tasks are counted and must still retire.
         let mut pills = 0usize;
@@ -589,7 +629,7 @@ fn work(
                 }
                 QueueItem::Flush => {
                     // Only pinned queues carry flushes.
-                    let Some(s) = slot else { continue };
+                    let Some(s) = own else { continue };
                     let pe = pes.get_mut(&s.pe).expect("pinned PE instantiated");
                     // Externalize the final state before on_done may drain it.
                     if let Some(store) = &engine.state {
@@ -628,20 +668,28 @@ fn work(
                 // relaxed: monotonic statistics counter; read after joins.
                 engine.failed_tasks.fetch_add(1, Ordering::Relaxed);
             }
-            processed += 1;
-            if crash_after.is_some_and(|after| processed >= after) {
-                // Die like a real crash: in-flight emissions are lost, no
-                // snapshot is written, the counter never drains.
-                return Err(CoreError::InjectedFault(format!(
-                    "worker for {}#{instance} crashed after {processed} task(s)",
-                    engine.pe_name(task.pe)
-                )));
+            if own.is_some() {
+                own_tasks += 1;
+                if crash_after.is_some_and(|after| own_tasks >= after) {
+                    // Die like a real crash: in-flight emissions are lost, no
+                    // snapshot is written, the counter never drains.
+                    return Err(CoreError::InjectedFault(format!(
+                        "worker for {}#{instance} crashed after {own_tasks} task(s)",
+                        engine.pe_name(task.pe)
+                    )));
+                }
             }
             engine.route_emissions(task.pe, &mut buf, &mut router, producer)?;
             engine.quiet.done();
             engine.maybe_fire_storm()?;
         }
-        if pills > 0 {
+        if helping {
+            // The pill was meant for a pool worker: hand it back and keep
+            // serving the private queue, whose own pill ends this worker.
+            if pills > 0 {
+                engine.push(&*engine.global, None, vec![QueueItem::Pill; pills])?;
+            }
+        } else if pills > 0 {
             // One batch may drain the pills meant for several workers:
             // hand the surplus back so nobody waits out a poll timeout.
             if pills > 1 {
@@ -657,7 +705,7 @@ fn work(
 mod tests {
     use super::*;
     use crate::mapping::Mapping;
-    use crate::mappings::hybrid::HybridMulti;
+    use crate::mappings::hybrid::{ChannelQueueFactory, HybridMulti};
     use crate::pe::{Context, FnSource, FnTransform};
     use d4py_graph::{Grouping, PeSpec, WorkflowGraph};
 
@@ -701,15 +749,301 @@ mod tests {
     #[test]
     fn pool_workers_see_their_pool_instance_index() {
         let (exe, seen) = instance_spy();
-        // 3 pinned slots + 2 pool workers.
+        // 3 pinned slots + 2 pool workers: pool workers are global
+        // consumers 0 and 1, the pinned workers help as 2, 3 and 4.
         HybridMulti
             .execute(&exe, &ExecutionOptions::new(5))
             .unwrap();
         let seen = seen.lock();
         assert_eq!(seen.len(), 30);
         for &(instance, count) in seen.iter() {
-            assert_eq!(count, 2, "instance_count is the pool size");
+            assert_eq!(count, 5, "instance_count is the number of global consumers");
             assert!(instance < count, "instance {instance} of {count}");
+        }
+    }
+
+    /// How long a test PE waits for another thread before giving up.
+    const PATIENCE: Duration = Duration::from_secs(2);
+
+    /// Flags and a two-party rendezvous that test PEs wait on, under one
+    /// lock. Every wait gives up after [`PATIENCE`], so a schedule that
+    /// cannot happen fails an assertion instead of hanging.
+    #[derive(Default)]
+    struct Board {
+        state: d4py_sync::Mutex<BoardState>,
+        changed: d4py_sync::Condvar,
+    }
+
+    #[derive(Default)]
+    struct BoardState {
+        flags: Vec<&'static str>,
+        /// A `meet` caller is waiting for a partner.
+        waiting: bool,
+        /// Rendezvous completed so far.
+        pairs: u64,
+    }
+
+    impl Board {
+        fn raise(&self, flag: &'static str) {
+            self.state.lock().flags.push(flag);
+            self.changed.notify_all();
+        }
+
+        /// Waits until `flag` is raised or [`PATIENCE`] runs out.
+        fn wait_for(&self, flag: &'static str) {
+            let deadline = Instant::now() + PATIENCE;
+            let mut state = self.state.lock();
+            while !state.flags.contains(&flag) {
+                if self.changed.wait_until(&mut state, deadline).timed_out() {
+                    return;
+                }
+            }
+        }
+
+        /// Returns once a second caller is inside `meet` too; false if
+        /// none came in time.
+        fn meet(&self) -> bool {
+            let deadline = Instant::now() + PATIENCE;
+            let mut state = self.state.lock();
+            if state.waiting {
+                state.waiting = false;
+                state.pairs += 1;
+                self.changed.notify_all();
+                return true;
+            }
+            state.waiting = true;
+            let pairs = state.pairs;
+            while state.pairs == pairs {
+                if self.changed.wait_until(&mut state, deadline).timed_out() && state.pairs == pairs
+                {
+                    state.waiting = false;
+                    return false;
+                }
+            }
+            true
+        }
+    }
+
+    #[test]
+    fn pinned_workers_help_the_pool_while_their_queue_is_empty() {
+        // src → first, second (stateful, pinned) → meet (stateless) → sink
+        // (stateful, pinned). Each meet call needs a concurrent partner.
+        // `first` emits its meet task only once `second` is busy, and
+        // `second` emits the other only once the first meet call runs, so
+        // the global queue never holds both: whoever runs the first call
+        // can only be met by another worker. With one pool worker that
+        // partner must be a pinned worker helping.
+        let board = Arc::new(Board::default());
+        let met = Arc::new(d4py_sync::Mutex::new(Vec::new()));
+        let mut g = WorkflowGraph::new("rendezvous");
+        let src = g.add_pe(PeSpec::source("src", "out"));
+        let first = g.add_pe(PeSpec::transform("first", "in", "out").stateful());
+        let second = g.add_pe(PeSpec::transform("second", "in", "out").stateful());
+        let meet = g.add_pe(PeSpec::transform("meet", "in", "out"));
+        let sink = g.add_pe(PeSpec::sink("sink", "in").stateful());
+        g.connect(src, "out", first, "in", Grouping::Global)
+            .unwrap();
+        g.connect(src, "out", second, "in", Grouping::Global)
+            .unwrap();
+        g.connect(first, "out", meet, "in", Grouping::Shuffle)
+            .unwrap();
+        g.connect(second, "out", meet, "in", Grouping::Shuffle)
+            .unwrap();
+        g.connect(meet, "out", sink, "in", Grouping::Global)
+            .unwrap();
+        let mut exe = Executable::new(g).unwrap();
+        exe.register(src, || {
+            Box::new(FnSource(|ctx: &mut dyn Context| {
+                ctx.emit("out", Value::Int(0))
+            }))
+        });
+        let b = board.clone();
+        exe.register(first, move || {
+            let b = b.clone();
+            Box::new(FnTransform(
+                move |_: &str, v: Value, ctx: &mut dyn Context| {
+                    b.wait_for("second busy");
+                    ctx.emit("out", v);
+                },
+            ))
+        });
+        let b = board.clone();
+        exe.register(second, move || {
+            let b = b.clone();
+            Box::new(FnTransform(
+                move |_: &str, v: Value, ctx: &mut dyn Context| {
+                    b.raise("second busy");
+                    b.wait_for("meet started");
+                    ctx.emit("out", v);
+                },
+            ))
+        });
+        let (b, m) = (board.clone(), met.clone());
+        exe.register(meet, move || {
+            let (b, m) = (b.clone(), m.clone());
+            Box::new(FnTransform(
+                move |_: &str, v: Value, ctx: &mut dyn Context| {
+                    b.raise("meet started");
+                    let partnered = b.meet();
+                    m.lock().push(partnered);
+                    ctx.emit("out", v);
+                },
+            ))
+        });
+        exe.register(sink, || {
+            Box::new(FnTransform(|_: &str, _: Value, _: &mut dyn Context| {}))
+        });
+        let exe = exe.seal().unwrap();
+        // 3 pinned slots + 1 pool worker.
+        let report = HybridMulti
+            .execute(&exe, &ExecutionOptions::new(4))
+            .unwrap();
+        assert_eq!(
+            *met.lock(),
+            vec![true, true],
+            "every meet call found a partner"
+        );
+        assert_eq!(report.failed_tasks, 0);
+    }
+
+    #[test]
+    fn crash_fault_counts_only_the_slots_own_tasks() {
+        // src → target (stateful, crashes after 2 own tasks) and src → wk;
+        // wk → target; target → h. target's first task waits until the
+        // pool worker runs wk, which in turn waits for h before it emits
+        // target's second task. h is emitted by target's first task, so
+        // while the pool worker waits inside wk, target's worker is the
+        // only one free to run h: it helps before its second own task.
+        let board = Arc::new(Board::default());
+        let own_calls = Arc::new(AtomicU64::new(0));
+        let helped = Arc::new(d4py_sync::Mutex::new(Vec::new()));
+        let mut g = WorkflowGraph::new("crash-count");
+        let src = g.add_pe(PeSpec::source("src", "out"));
+        let target = g.add_pe(PeSpec::transform("target", "in", "out").stateful());
+        let wk = g.add_pe(PeSpec::transform("wk", "in", "out"));
+        let h = g.add_pe(PeSpec::sink("h", "in"));
+        g.connect(src, "out", target, "in", Grouping::Global)
+            .unwrap();
+        g.connect(src, "out", wk, "in", Grouping::Shuffle).unwrap();
+        g.connect(wk, "out", target, "in", Grouping::Global)
+            .unwrap();
+        g.connect(target, "out", h, "in", Grouping::Shuffle)
+            .unwrap();
+        let mut exe = Executable::new(g).unwrap();
+        exe.register(src, || {
+            Box::new(FnSource(|ctx: &mut dyn Context| {
+                ctx.emit("out", Value::Int(1))
+            }))
+        });
+        let (b, calls) = (board.clone(), own_calls.clone());
+        exe.register(target, move || {
+            let (b, calls) = (b.clone(), calls.clone());
+            Box::new(FnTransform(
+                move |_: &str, v: Value, ctx: &mut dyn Context| {
+                    calls.fetch_add(1, Ordering::SeqCst);
+                    if v == Value::Int(1) {
+                        b.wait_for("wk started");
+                        ctx.emit("out", v);
+                    }
+                },
+            ))
+        });
+        let (b, log) = (board.clone(), helped.clone());
+        exe.register(wk, move || {
+            let (b, log) = (b.clone(), log.clone());
+            Box::new(FnTransform(
+                move |_: &str, _: Value, ctx: &mut dyn Context| {
+                    log.lock().push(ctx.instance());
+                    b.raise("wk started");
+                    b.wait_for("h started");
+                    ctx.emit("out", Value::Int(2));
+                },
+            ))
+        });
+        let (b, log) = (board.clone(), helped.clone());
+        exe.register(h, move || {
+            let (b, log) = (b.clone(), log.clone());
+            Box::new(FnTransform(
+                move |_: &str, _: Value, ctx: &mut dyn Context| {
+                    log.lock().push(ctx.instance());
+                    b.raise("h started");
+                },
+            ))
+        });
+        let exe = exe.seal().unwrap();
+        let plan = RunPlan {
+            faults: FaultPlan::default().with_crash("target", 0, 2),
+            ..RunPlan::new("hybrid_multi", &ChannelQueueFactory)
+        };
+        // 1 pinned slot + 1 pool worker: the slot helps as global consumer 1.
+        let err = run(&exe, &ExecutionOptions::new(2), &plan).unwrap_err();
+        let CoreError::InjectedFault(msg) = &err else {
+            panic!("unexpected error: {err}");
+        };
+        assert!(
+            msg.contains("target#0 crashed after 2 task(s)"),
+            "crash fired at the wrong task: {msg}"
+        );
+        assert_eq!(own_calls.load(Ordering::SeqCst), 2);
+        assert!(
+            helped.lock().contains(&1),
+            "the crashing slot never helped: {:?}",
+            helped.lock()
+        );
+    }
+
+    #[test]
+    fn helpers_hand_back_pills_meant_for_the_pool() {
+        // A helper that pops a pool worker's pill after shutdown must put it
+        // back; otherwise the pool worker waits out its one-second poll.
+        let mut g = WorkflowGraph::new("pills");
+        let src = g.add_pe(PeSpec::source("src", "out"));
+        let tok = g.add_pe(PeSpec::transform("tok", "in", "out"));
+        let count = g.add_pe(PeSpec::sink("count", "in").stateful().with_instances(4));
+        g.connect(src, "out", tok, "in", Grouping::Shuffle).unwrap();
+        g.connect(tok, "out", count, "in", Grouping::group_by("k"))
+            .unwrap();
+        let mut exe = Executable::new(g).unwrap();
+        exe.register(src, || {
+            Box::new(FnSource(|ctx: &mut dyn Context| {
+                for i in 0..40 {
+                    ctx.emit("out", Value::map([("k", Value::Int(i % 9))]));
+                }
+            }))
+        });
+        exe.register(tok, || {
+            Box::new(FnTransform(|_: &str, v: Value, ctx: &mut dyn Context| {
+                ctx.emit("out", v);
+            }))
+        });
+        exe.register(count, || {
+            Box::new(FnTransform(|_: &str, _: Value, _: &mut dyn Context| {}))
+        });
+        let exe = exe.seal().unwrap();
+        let opts = ExecutionOptions::new(5).with_termination(crate::options::TerminationConfig {
+            poll_timeout: Duration::from_secs(1),
+            ..Default::default()
+        });
+        // Helping pops linger, so the shutdown pills usually reach a helper.
+        let queues = testkit::LingerFactory {
+            linger: Duration::from_millis(20),
+        };
+        for _ in 0..20 {
+            // 4 pinned slots + 1 pool worker.
+            let report = run(&exe, &opts, &RunPlan::new("hybrid_multi", &queues)).unwrap();
+            assert_eq!(report.tasks_executed, 81);
+            // timing: hang detector, far below the one-second poll a lost
+            // pill would cost; not a performance gate.
+            assert!(
+                report.runtime < Duration::from_millis(500),
+                "{:?}",
+                report.runtime
+            );
+            assert!(
+                !report.warnings.iter().any(|w| w.contains("spurious")),
+                "{:?}",
+                report.warnings
+            );
         }
     }
 
@@ -763,6 +1097,62 @@ pub(crate) mod testkit {
         }
         fn depth(&self) -> usize {
             self.inner.depth()
+        }
+    }
+
+    /// Queue wrapper that turns a pop that asks not to block into one that
+    /// waits up to `linger`, as a Redis `BLOCK` never waits less than 1 ms.
+    pub(crate) struct LingeringQueue {
+        inner: Arc<dyn TaskQueue>,
+        linger: Duration,
+    }
+
+    impl LingeringQueue {
+        fn wait(&self, timeout: Duration) -> Duration {
+            if timeout.is_zero() {
+                self.linger
+            } else {
+                timeout
+            }
+        }
+    }
+
+    impl TaskQueue for LingeringQueue {
+        fn push(&self, item: QueueItem) -> Result<(), CoreError> {
+            self.inner.push(item)
+        }
+        fn pop(&self, consumer: usize, timeout: Duration) -> Result<Option<QueueItem>, CoreError> {
+            self.inner.pop(consumer, self.wait(timeout))
+        }
+        fn pop_batch(
+            &self,
+            consumer: usize,
+            max: usize,
+            timeout: Duration,
+        ) -> Result<Vec<QueueItem>, CoreError> {
+            self.inner.pop_batch(consumer, max, self.wait(timeout))
+        }
+        fn depth(&self) -> usize {
+            self.inner.depth()
+        }
+    }
+
+    /// Channel queues whose global queue is a [`LingeringQueue`].
+    pub(crate) struct LingerFactory {
+        pub(crate) linger: Duration,
+    }
+
+    impl QueueFactory for LingerFactory {
+        fn make(&self, name: &str, consumers: usize) -> Result<Arc<dyn TaskQueue>, CoreError> {
+            let inner: Arc<dyn TaskQueue> = Arc::new(ChannelQueue::new(consumers));
+            if name == "global" {
+                Ok(Arc::new(LingeringQueue {
+                    inner,
+                    linger: self.linger,
+                }))
+            } else {
+                Ok(inner)
+            }
         }
     }
 

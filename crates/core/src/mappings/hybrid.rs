@@ -9,6 +9,11 @@
 //!   between processes;
 //! * the remaining workers are **stateless** and pull from the shared
 //!   global queue exactly as plain dynamic scheduling does;
+//! * a pinned worker whose private queue is empty **helps** them: it runs
+//!   one stateless task from the global queue, then looks at its private
+//!   queue again. State locality still holds, because stateful tasks are
+//!   only ever routed to private queues, and only the pinned worker reads
+//!   its own;
 //! * any worker may deposit outputs into a stateful instance's private
 //!   queue, routed by the receiving connection's grouping (group-by hash,
 //!   global → instance 0, …) — "eliminating the need for continuous state

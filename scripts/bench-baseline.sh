@@ -21,7 +21,9 @@ if [[ -n "${D4PY_BENCH_HANDICAP:-}" ]]; then
     exit 1
 fi
 
-# bench target -> report file stem it writes under target/bench/.
+# Every ablation bench (crates/bench/benches/ablation_*.rs) is promoted,
+# so a new one needs no edit here. Its report stem is the one
+# `BENCH_<stem>.json` it writes under `out_dir()`.
 promote() {
     local bench="$1" stem="$2"
     cargo bench --offline --bench "$bench"
@@ -35,9 +37,16 @@ promote() {
     echo "bench-baseline: promoted $current -> bench/baselines/BENCH_${stem}.json"
 }
 
-promote ablation_queue ablation_queue
-promote ablation_redis redis_backend
-promote ablation_connections connections
+for src in crates/bench/benches/ablation_*.rs; do
+    bench="$(basename "$src" .rs)"
+    stems="$(grep -o 'out_dir()\.join("BENCH_[A-Za-z0-9_]*\.json")' "$src" \
+        | sed 's/.*BENCH_\(.*\)\.json.*/\1/' | sort -u || true)"
+    if [[ "$(printf '%s\n' "$stems" | grep -c .)" != 1 ]]; then
+        echo "bench-baseline: $src must write exactly one BENCH_<stem>.json report" >&2
+        exit 1
+    fi
+    promote "$bench" "$stems"
+done
 
 # The chaos matrix is driven by the repro binary, not a cargo bench
 # target: the full 16-cell run must pass every fault-recovery invariant
