@@ -15,10 +15,8 @@
 //!   longer than the per-PR path ever runs.
 
 use d4py_bench::connscale::{mode_slug, run_matrix, ConnScaleOpts};
-use d4py_sync::report::BenchReport;
 use d4py_sync::stats::Summary;
 use dispel4py::redis_lite::server::ServerMode;
-use std::path::PathBuf;
 
 fn fmt_rate(r: f64) -> String {
     if r >= 1e6 {
@@ -26,15 +24,6 @@ fn fmt_rate(r: f64) -> String {
     } else {
         format!("{:.1} k/s", r / 1e3)
     }
-}
-
-fn workspace_root() -> PathBuf {
-    // crates/bench -> workspace root
-    PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("../..")
-}
-
-fn baseline_path() -> PathBuf {
-    workspace_root().join("bench/baselines/BENCH_connections.json")
 }
 
 fn main() {
@@ -131,23 +120,6 @@ fn main() {
                 "CIs overlap"
             },
         );
-    }
-
-    // Informational inline comparison (the hard gate is `bench-compare`).
-    if let Ok(baseline) = BenchReport::load(&baseline_path()) {
-        println!("\nvs baseline:");
-        for cur in &report.benches {
-            if let Some(base) = baseline.benches.iter().find(|b| b.id == cur.id) {
-                let delta =
-                    (cur.summary.median - base.summary.median) / base.summary.median * 100.0;
-                println!(
-                    "  {}: {} -> {} ({delta:+.1}%)",
-                    cur.id,
-                    fmt_rate(base.summary.median),
-                    fmt_rate(cur.summary.median),
-                );
-            }
-        }
     }
 
     let out = d4py_sync::bench::out_dir().join("BENCH_connections.json");

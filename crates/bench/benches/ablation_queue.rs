@@ -20,9 +20,8 @@
 //! throughput is kept as a sample and summarized by `d4py_sync::stats`
 //! (MAD outlier rejection + bootstrap CI); results persist as versioned
 //! JSON to `<target>/bench/BENCH_ablation_queue.json` for the
-//! `bench-compare` regression gate. When the committed baseline
-//! `bench/baselines/BENCH_ablation_queue.json` exists, a delta summary
-//! prints inline (the hard gate is `bench-compare`'s job).
+//! `bench-compare` regression gate against the committed
+//! `bench/baselines/BENCH_ablation_queue.json`.
 //!
 //! `D4PY_BENCH_HANDICAP=<factor>` divides measured throughput; test-only,
 //! so the regression gate can be exercised end-to-end.
@@ -33,7 +32,6 @@ use d4py_sync::stats::{summarize, StatsConfig, Summary};
 use d4py_sync::steal::StealQueue;
 use d4py_sync::{Condvar, Mutex};
 use std::collections::VecDeque;
-use std::path::PathBuf;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -230,27 +228,6 @@ fn fmt_rate(r: f64) -> String {
     }
 }
 
-fn workspace_root() -> PathBuf {
-    // crates/bench -> workspace root
-    PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("../..")
-}
-
-/// The committed, versioned baseline location.
-fn baseline_path() -> PathBuf {
-    workspace_root().join("bench/baselines/BENCH_ablation_queue.json")
-}
-
-/// Loads the committed versioned JSON baseline, if any.
-fn load_baseline() -> Option<BenchReport> {
-    let json = baseline_path();
-    if !json.exists() {
-        return None;
-    }
-    BenchReport::load(&json)
-        .map_err(|e| eprintln!("warning: unreadable baseline {}: {e}", json.display()))
-        .ok()
-}
-
 fn entry(id: String, s: Vec<f64>) -> BenchEntry {
     let summary = summarize(&s, &StatsConfig::default());
     BenchEntry {
@@ -313,23 +290,6 @@ fn main() {
         report.benches.push(mutex);
         report.benches.push(lockfree);
         report.benches.push(steal);
-    }
-
-    // Informational inline comparison (the hard gate is `bench-compare`).
-    if let Some(baseline) = load_baseline() {
-        println!("\nvs baseline:");
-        for cur in &report.benches {
-            if let Some(base) = baseline.benches.iter().find(|b| b.id == cur.id) {
-                let delta =
-                    (cur.summary.median - base.summary.median) / base.summary.median * 100.0;
-                println!(
-                    "  {}: {} -> {} ({delta:+.1}%)",
-                    cur.id,
-                    fmt_rate(base.summary.median),
-                    fmt_rate(cur.summary.median),
-                );
-            }
-        }
     }
 
     let out = d4py_sync::bench::out_dir().join("BENCH_ablation_queue.json");

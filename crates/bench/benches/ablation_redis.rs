@@ -30,8 +30,8 @@
 //! `D4PY_BENCH_HANDICAP=<factor>` (divides throughput; test-only). Per-rep
 //! throughput samples are summarized by `d4py_sync::stats` (MAD outlier
 //! rejection + bootstrap CI) and persist to
-//! `<target>/bench/BENCH_redis_backend.json`; the committed baseline lives
-//! at `bench/baselines/BENCH_redis_backend.json`.
+//! `<target>/bench/BENCH_redis_backend.json`, which `bench-compare` gates
+//! against the committed `bench/baselines/BENCH_redis_backend.json`.
 
 use d4py_sync::report::{BenchEntry, BenchReport, Better};
 use d4py_sync::stats::{summarize, StatsConfig, Summary};
@@ -39,7 +39,6 @@ use dispel4py::redis::cluster::key_shard;
 use dispel4py::redis::RedisBackend;
 use dispel4py::redis_lite::resp::Frame;
 use dispel4py::redis_lite::server::Server;
-use std::path::PathBuf;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::time::Instant;
@@ -216,15 +215,6 @@ fn fmt_rate(r: f64) -> String {
     }
 }
 
-fn workspace_root() -> PathBuf {
-    // crates/bench -> workspace root
-    PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("../..")
-}
-
-fn baseline_path() -> PathBuf {
-    workspace_root().join("bench/baselines/BENCH_redis_backend.json")
-}
-
 fn main() {
     let quick = std::env::var("D4PY_BENCH_QUICK")
         .map(|v| v != "0")
@@ -289,23 +279,6 @@ fn main() {
             report.benches.push(e);
         }
         println!();
-    }
-
-    // Informational inline comparison (the hard gate is `bench-compare`).
-    if let Ok(baseline) = BenchReport::load(&baseline_path()) {
-        println!("\nvs baseline:");
-        for cur in &report.benches {
-            if let Some(base) = baseline.benches.iter().find(|b| b.id == cur.id) {
-                let delta =
-                    (cur.summary.median - base.summary.median) / base.summary.median * 100.0;
-                println!(
-                    "  {}: {} -> {} ({delta:+.1}%)",
-                    cur.id,
-                    fmt_rate(base.summary.median),
-                    fmt_rate(cur.summary.median),
-                );
-            }
-        }
     }
 
     let out = d4py_sync::bench::out_dir().join("BENCH_redis_backend.json");

@@ -276,6 +276,7 @@ mod tests {
         let (exe, results) = pipeline_exe(100);
         let factory = FlakyFactory {
             charges: Arc::new(AtomicUsize::new(3)),
+            ..Default::default()
         };
         let report = run_plan(
             &exe,

@@ -19,13 +19,19 @@
 //! its grouping selects; a stateless target goes to the global queue,
 //! where whoever pops first runs it.
 //!
+//! Streaming: a PE call's emissions are buffered, and an emission that
+//! finds the oldest buffered one at least [`FLUSH_AFTER`] old routes the
+//! buffer first. A tight emission loop thus still goes out as one batch
+//! when the call returns, while a paced source's earlier items reach the
+//! queue, and the workers, while it is still running.
+//!
 //! Termination, strict mode (the default): every task and every flush is
 //! counted in a [`Quiescence`] counter before it is published and retired
-//! after its emissions are counted, so zero means no work exists. The
-//! calling thread sleeps until the last decrement wakes it, flushes the
-//! stateful PEs (`on_done`) in topological order — draining each flush's
-//! emissions before the next PE flushes — then sets `shutdown` and sends
-//! poison pills. With `strict: false` and no pinned slots, workers run the
+//! only after its call returned and its last emissions are counted, so
+//! zero means no work exists. The calling thread sleeps until the last
+//! decrement wakes it, flushes the stateful PEs (`on_done`) in topological
+//! order — draining each flush's emissions before the next PE flushes —
+//! then sets `shutdown` and sends poison pills. With `strict: false` and no pinned slots, workers run the
 //! paper's §3.2.3 protocol instead: a worker that finds the queue empty
 //! `max_retries` times in a row broadcasts the pills.
 //!
@@ -40,7 +46,7 @@ use crate::mappings::dynamic::AutoscaleSetup;
 use crate::mappings::hybrid::{plan_slots, QueueFactory, StatefulSlot};
 use crate::metrics::{ActiveSpan, ActiveTimeLedger, LatencyHistogram, PeTaskCounts, RunReport};
 use crate::options::ExecutionOptions;
-use crate::pe::{EmitBuffer, ProcessingElement};
+use crate::pe::{BufferedContext, Context, EmitBuffer, ProcessingElement};
 use crate::queue::TaskQueue;
 use crate::routing::{Route, Router};
 use crate::state::{slot_name, StateStore};
@@ -58,6 +64,13 @@ use std::time::{Duration, Instant};
 /// worker cannot hoard a backlog other (possibly idle) workers could run —
 /// and bounded so a Pill drained mid-batch is acted on promptly.
 const POP_BATCH: usize = 32;
+
+/// How long a PE call's oldest buffered emission may wait before the next
+/// emission routes the buffer. Tight emission loops (a thousand emits take
+/// well under 1 ms) fit inside it and keep one publish per call; a pacing
+/// gap (a bursty source pauses for hundreds of ms) far exceeds it, so what
+/// came before the gap is routed when the next item is emitted.
+pub const FLUSH_AFTER: Duration = Duration::from_millis(5);
 
 /// What one run needs beyond the workflow and its options.
 pub struct RunPlan<'a> {
@@ -318,6 +331,85 @@ impl Engine {
 
     fn pe_name(&self, pe: PeId) -> &str {
         self.exe.graph().pe(pe).map_or("", |s| s.name.as_str())
+    }
+}
+
+/// The [`Context`] one PE call runs with. Emissions are buffered; an
+/// emission that finds the oldest buffered one [`FLUSH_AFTER`] old routes
+/// the buffer first, tagged with the same `producer` as the rest of the
+/// call. [`finish`](Self::finish) routes what is left once the call ended.
+/// Everything is counted before it is pushed and the task retires after
+/// `finish`, so quiescence stays conservative.
+struct Emitter<'a> {
+    engine: &'a Engine,
+    router: &'a mut Router,
+    from: PeId,
+    producer: Option<usize>,
+    buf: EmitBuffer,
+    /// When the oldest buffered emission was made.
+    since: Option<Instant>,
+    /// The first routing error: `emit` cannot return it, so it ends all
+    /// routing for this call and fails the worker in `finish`.
+    error: Option<CoreError>,
+}
+
+impl<'a> Emitter<'a> {
+    fn new(
+        engine: &'a Engine,
+        router: &'a mut Router,
+        from: PeId,
+        producer: Option<usize>,
+        (instance, instances): (usize, usize),
+    ) -> Self {
+        Self {
+            engine,
+            router,
+            from,
+            producer,
+            buf: EmitBuffer::new(instance, instances),
+            since: None,
+            error: None,
+        }
+    }
+
+    fn route(&mut self) {
+        self.since = None;
+        if self.error.is_none() {
+            let routed =
+                self.engine
+                    .route_emissions(self.from, &mut self.buf, self.router, self.producer);
+            self.error = routed.err();
+        }
+        self.buf.discard();
+    }
+
+    /// Routes what the call left buffered; returns the first routing error.
+    fn finish(mut self) -> Result<(), CoreError> {
+        self.route();
+        self.error.map_or(Ok(()), Err)
+    }
+}
+
+impl Context for Emitter<'_> {
+    fn emit(&mut self, port: &str, value: Value) {
+        let now = Instant::now();
+        if self.since.is_some_and(|since| now - since >= FLUSH_AFTER) {
+            self.route();
+        }
+        self.since.get_or_insert(now);
+        self.buf.emit(port, value);
+    }
+    fn instance(&self) -> usize {
+        self.buf.instance()
+    }
+    fn instance_count(&self) -> usize {
+        self.buf.instance_count()
+    }
+}
+
+impl BufferedContext for Emitter<'_> {
+    fn discard(&mut self) {
+        self.buf.discard();
     }
 }
 
@@ -637,9 +729,10 @@ fn work(
                             store.save(&slot_name(engine.pe_name(s.pe), s.instance), &snapshot)?;
                         }
                     }
-                    let mut buf = EmitBuffer::new(instance, instances);
-                    pe.on_done(&mut buf);
-                    engine.route_emissions(s.pe, &mut buf, &mut router, None)?;
+                    let mut ctx =
+                        Emitter::new(engine, &mut router, s.pe, None, (instance, instances));
+                    pe.on_done(&mut ctx);
+                    ctx.finish()?;
                     engine.quiet.done();
                     continue;
                 }
@@ -657,9 +750,15 @@ fn work(
                     e.insert(engine.exe.instantiate(task.pe)?)
                 }
             };
-            let mut buf = EmitBuffer::new(instance, instances);
+            let mut ctx = Emitter::new(
+                engine,
+                &mut router,
+                task.pe,
+                producer,
+                (instance, instances),
+            );
             let started = Instant::now();
-            if crate::pe::process_guarded(pe, &task.port, task.value, &mut buf) {
+            if crate::pe::process_guarded(pe, &task.port, task.value, &mut ctx) {
                 engine.latency.record(started.elapsed());
                 // relaxed: monotonic statistics counter; read after joins.
                 engine.tasks_executed.fetch_add(1, Ordering::Relaxed);
@@ -671,15 +770,15 @@ fn work(
             if own.is_some() {
                 own_tasks += 1;
                 if crash_after.is_some_and(|after| own_tasks >= after) {
-                    // Die like a real crash: in-flight emissions are lost, no
-                    // snapshot is written, the counter never drains.
+                    // Die like a real crash: emissions not yet routed are
+                    // lost, no snapshot is written, the counter never drains.
                     return Err(CoreError::InjectedFault(format!(
                         "worker for {}#{instance} crashed after {own_tasks} task(s)",
                         engine.pe_name(task.pe)
                     )));
                 }
             }
-            engine.route_emissions(task.pe, &mut buf, &mut router, producer)?;
+            ctx.finish()?;
             engine.quiet.done();
             engine.maybe_fire_storm()?;
         }
@@ -706,7 +805,7 @@ mod tests {
     use super::*;
     use crate::mapping::Mapping;
     use crate::mappings::hybrid::{ChannelQueueFactory, HybridMulti};
-    use crate::pe::{Context, FnSource, FnTransform};
+    use crate::pe::{Collector, FnSource, FnTransform};
     use d4py_graph::{Grouping, PeSpec, WorkflowGraph};
 
     /// `(instance, instance_count)` of every task the spy saw.
@@ -1047,6 +1146,82 @@ mod tests {
         }
     }
 
+    /// src → sink, zero pinned slots. On entry src arms `push_charges`
+    /// of the global queue, then emits 0..5, pausing past [`FLUSH_AFTER`]
+    /// before every item after the first, so each of those emissions
+    /// routes the one before it in the middle of the call: the first armed
+    /// push is src's first mid-call route. Returns the run's result, the
+    /// sorted items the sink received, and whether src's call came back.
+    fn paced_flaky_run(
+        arm: usize,
+        opts: &ExecutionOptions,
+    ) -> (Result<RunReport, CoreError>, Vec<i64>, bool) {
+        let factory = testkit::FlakyFactory::default();
+        let mut g = WorkflowGraph::new("paced-flaky");
+        let src = g.add_pe(PeSpec::source("src", "out"));
+        let sink = g.add_pe(PeSpec::sink("sink", "in"));
+        g.connect(src, "out", sink, "in", Grouping::Shuffle)
+            .unwrap();
+        let returned = Arc::new(AtomicBool::new(false));
+        let (pushes, done) = (factory.push_charges.clone(), returned.clone());
+        let mut exe = Executable::new(g).unwrap();
+        exe.register(src, move || {
+            let (pushes, done) = (pushes.clone(), done.clone());
+            Box::new(FnSource(move |ctx: &mut dyn Context| {
+                pushes.store(arm, Ordering::SeqCst);
+                for i in 0..5 {
+                    if i > 0 {
+                        // sleep: a pacing gap past FLUSH_AFTER, so this
+                        // emission routes the previous one mid-call.
+                        std::thread::sleep(2 * FLUSH_AFTER);
+                    }
+                    ctx.emit("out", Value::Int(i));
+                }
+                done.store(true, Ordering::SeqCst);
+            }))
+        });
+        let (_, results) = Collector::new();
+        let shared = results.clone();
+        exe.register(sink, move || {
+            Box::new(Collector::into_handle(shared.clone()))
+        });
+        let exe = exe.seal().unwrap();
+        let report = run(&exe, opts, &RunPlan::new("dyn_test", &factory));
+        let mut got: Vec<i64> = results.lock().iter().filter_map(Value::as_int).collect();
+        got.sort_unstable();
+        (report, got, returned.load(Ordering::SeqCst))
+    }
+
+    #[test]
+    fn mid_call_route_errors_are_absorbed_by_the_retry_budget() {
+        let opts = ExecutionOptions::new(2).with_transport_retries(3);
+        let (report, got, returned) = paced_flaky_run(2, &opts);
+        let report = report.unwrap();
+        assert_eq!(got, vec![0, 1, 2, 3, 4]);
+        assert!(returned);
+        assert!(
+            report
+                .warnings
+                .iter()
+                .any(|w| w.contains("absorbed 2 transient transport error")),
+            "retry warning missing: {:?}",
+            report.warnings
+        );
+    }
+
+    #[test]
+    fn mid_call_route_error_without_budget_fails_the_run() {
+        let started = Instant::now();
+        let (report, _, returned) = paced_flaky_run(1, &ExecutionOptions::new(2));
+        let err = report.unwrap_err();
+        assert!(matches!(err, CoreError::Queue(_)), "unexpected: {err}");
+        // The error waited for the call: the source ran to its end.
+        assert!(returned);
+        // timing: hang detector with a generous bound, not a performance
+        // gate.
+        assert!(started.elapsed() < Duration::from_secs(5));
+    }
+
     #[test]
     fn hybrid_run_reports_one_latency_sample_per_task() {
         let (exe, _) = instance_spy();
@@ -1065,17 +1240,34 @@ pub(crate) mod testkit {
     use crate::queue::ChannelQueue;
     use std::sync::atomic::AtomicUsize;
 
-    /// Queue wrapper that fails the first N `pop_batch` calls with a
-    /// transport error, then behaves normally — the in-process stand-in for
-    /// a dropped redis-lite connection.
+    /// Queue wrapper that fails `pop_batch` and `push_batch` calls with a
+    /// transport error while their charges last, then behaves normally —
+    /// the in-process stand-in for a dropped redis-lite connection.
     pub(crate) struct FlakyQueue {
         inner: Arc<dyn TaskQueue>,
-        remaining: Arc<AtomicUsize>,
+        pops: Arc<AtomicUsize>,
+        pushes: Arc<AtomicUsize>,
+    }
+
+    /// Spends one charge; an error if there was one to spend.
+    fn fail_if_charged(charges: &AtomicUsize) -> Result<(), CoreError> {
+        match charges.fetch_update(Ordering::SeqCst, Ordering::SeqCst, |n| n.checked_sub(1)) {
+            Ok(_) => Err(CoreError::Queue("injected: connection dropped".into())),
+            Err(_) => Ok(()),
+        }
     }
 
     impl TaskQueue for FlakyQueue {
         fn push(&self, item: QueueItem) -> Result<(), CoreError> {
             self.inner.push(item)
+        }
+        fn push_batch(
+            &self,
+            producer: Option<usize>,
+            items: Vec<QueueItem>,
+        ) -> Result<(), CoreError> {
+            fail_if_charged(&self.pushes)?;
+            self.inner.push_batch(producer, items)
         }
         fn pop(&self, consumer: usize, timeout: Duration) -> Result<Option<QueueItem>, CoreError> {
             self.inner.pop(consumer, timeout)
@@ -1086,13 +1278,7 @@ pub(crate) mod testkit {
             max: usize,
             timeout: Duration,
         ) -> Result<Vec<QueueItem>, CoreError> {
-            let take = self
-                .remaining
-                .fetch_update(Ordering::SeqCst, Ordering::SeqCst, |n| n.checked_sub(1))
-                .is_ok();
-            if take {
-                return Err(CoreError::Queue("injected: connection dropped".into()));
-            }
+            fail_if_charged(&self.pops)?;
             self.inner.pop_batch(consumer, max, timeout)
         }
         fn depth(&self) -> usize {
@@ -1156,10 +1342,12 @@ pub(crate) mod testkit {
         }
     }
 
-    /// Channel queues whose global queue is a [`FlakyQueue`] drawing on
-    /// `charges`.
+    /// Channel queues whose global queue is a [`FlakyQueue`] whose pops
+    /// draw on `charges` and whose pushes draw on `push_charges`.
+    #[derive(Default)]
     pub(crate) struct FlakyFactory {
         pub(crate) charges: Arc<AtomicUsize>,
+        pub(crate) push_charges: Arc<AtomicUsize>,
     }
 
     impl QueueFactory for FlakyFactory {
@@ -1168,7 +1356,8 @@ pub(crate) mod testkit {
             if name == "global" {
                 Ok(Arc::new(FlakyQueue {
                     inner,
-                    remaining: self.charges.clone(),
+                    pops: self.charges.clone(),
+                    pushes: self.push_charges.clone(),
                 }))
             } else {
                 Ok(inner)

@@ -345,6 +345,7 @@ mod tests {
         let (exe, results) = stateful_exe();
         let factory = FlakyFactory {
             charges: Arc::new(AtomicUsize::new(2)),
+            ..Default::default()
         };
         let report = run_with(
             &exe,
@@ -369,6 +370,7 @@ mod tests {
         let (exe, _) = stateful_exe();
         let factory = FlakyFactory {
             charges: Arc::new(AtomicUsize::new(2)),
+            ..Default::default()
         };
         let err = run_with(
             &exe,
@@ -388,6 +390,7 @@ mod tests {
         let (exe, _) = stateful_exe();
         let factory = FlakyFactory {
             charges: Arc::new(AtomicUsize::new(usize::MAX)),
+            ..Default::default()
         };
         let started = std::time::Instant::now();
         let err = run_with(

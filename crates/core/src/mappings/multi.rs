@@ -10,6 +10,10 @@
 //! Because instances are pinned, `multi` "can effectively manage both
 //! stateful and stateless applications" — it is the only baseline usable for
 //! the stateful sentiment workflow (§5).
+//!
+//! Emissions are routed after each call returns; unlike the dynamic-family
+//! engine ([`super::engine::FLUSH_AFTER`]), `multi` does not stream a slow
+//! call's earlier emissions.
 
 use crate::error::CoreError;
 use crate::executable::Executable;

@@ -5,7 +5,9 @@
 //! dynamic scheduling "is ineffective with Simple mapping, where tasks are
 //! executed sequentially" (§2.2). One instance per PE; all groupings
 //! degenerate to instance 0, except that group-by/global semantics are
-//! trivially satisfied by the single instance.
+//! trivially satisfied by the single instance. A call's emissions are
+//! routed after it returns; sequential execution gains nothing from
+//! streaming them (contrast [`super::engine::FLUSH_AFTER`]).
 
 use crate::error::CoreError;
 use crate::executable::Executable;

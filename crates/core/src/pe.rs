@@ -12,8 +12,12 @@ use crate::value::Value;
 
 /// Execution context handed to a PE while it processes an item.
 ///
-/// Emissions are buffered by the engine and routed after `process` returns;
-/// a PE never blocks on downstream backpressure inside its own logic.
+/// Emissions are buffered and `emit` never blocks on downstream
+/// backpressure. The dynamic-family engine routes a call's buffered
+/// emissions early once the oldest of them has waited
+/// [`FLUSH_AFTER`](crate::mappings::engine::FLUSH_AFTER), so a paced source
+/// streams; the rest are routed after `process` returns. The `simple` and
+/// `multi` mappings route everything after `process` returns.
 pub trait Context {
     /// Emits `value` on the PE's output port `port`.
     fn emit(&mut self, port: &str, value: Value);
@@ -70,6 +74,18 @@ impl Context for EmitBuffer {
     }
 }
 
+/// A [`Context`] that holds emissions back until they are routed.
+pub trait BufferedContext: Context {
+    /// Drops every emission not yet routed.
+    fn discard(&mut self);
+}
+
+impl BufferedContext for EmitBuffer {
+    fn discard(&mut self) {
+        self.emissions.clear();
+    }
+}
+
 /// Executable behaviour of a processing element.
 ///
 /// Implementations must be `Send` (they move to worker threads) but not
@@ -103,21 +119,22 @@ pub trait ProcessingElement: Send {
 }
 
 /// Runs one `process()` call with panic containment: a panicking PE loses
-/// the item (its partial emissions are discarded) but cannot take the
-/// worker — and with it the whole workflow — down. Returns `false` when the
-/// call panicked. Engines count failures into
+/// the item and the emissions `ctx` has not routed yet (those already
+/// routed mid-call stay delivered), but cannot take the worker — and with
+/// it the whole workflow — down. Returns `false` when the call panicked.
+/// Engines count failures into
 /// [`RunReport::failed_tasks`](crate::metrics::RunReport::failed_tasks).
 pub fn process_guarded(
     pe: &mut Box<dyn ProcessingElement>,
     port: &str,
     value: crate::value::Value,
-    buf: &mut EmitBuffer,
+    ctx: &mut impl BufferedContext,
 ) -> bool {
     let result = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-        pe.process(port, value, buf)
+        pe.process(port, value, ctx)
     }));
     if result.is_err() {
-        buf.drain(); // discard whatever the PE emitted before dying
+        ctx.discard();
         false
     } else {
         true

@@ -1,5 +1,6 @@
 //! Failure injection: a panicking PE must not hang or kill a parallel run.
 
+use dispel4py::mappings::engine::FLUSH_AFTER;
 use dispel4py::prelude::*;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
@@ -79,8 +80,8 @@ fn redis_mapping_survives_poisoned_records() {
 #[test]
 fn poisoned_source_still_terminates() {
     // The source itself panics after a few emissions: the run must
-    // complete with whatever made it out. (Partial emissions from the
-    // panicking call itself are discarded by contract.)
+    // complete with whatever made it out. (Emissions not yet routed are
+    // discarded by contract.)
     let mut g = WorkflowGraph::new("poison-src");
     let a = g.add_pe(PeSpec::source("a", "out"));
     let b = g.add_pe(PeSpec::sink("b", "in"));
@@ -107,6 +108,51 @@ fn poisoned_source_still_terminates() {
         0,
         "partial emissions discarded"
     );
+}
+
+/// src → sink (`Shuffle`, or `Global` into a stateful sink when `pinned`):
+/// src emits 1, pauses past `FLUSH_AFTER`, emits 2 — which routes 1 — and
+/// panics.
+fn paced_panicking_source(pinned: bool) -> (Executable, Arc<AtomicU64>) {
+    let mut g = WorkflowGraph::new("paced-poison-src");
+    let a = g.add_pe(PeSpec::source("a", "out"));
+    let (sink, grouping) = match pinned {
+        true => (PeSpec::sink("b", "in").stateful(), Grouping::Global),
+        false => (PeSpec::sink("b", "in"), Grouping::Shuffle),
+    };
+    let b = g.add_pe(sink);
+    g.connect(a, "out", b, "in", grouping).unwrap();
+    let (_, count) = CountingSink::new();
+    let n = count.clone();
+    let mut exe = Executable::new(g).unwrap();
+    exe.register(a, || {
+        Box::new(FnSource(|ctx: &mut dyn Context| {
+            ctx.emit("out", Value::Int(1));
+            // sleep: a pacing gap past FLUSH_AFTER, so emitting 2 routes 1
+            // before the panic.
+            std::thread::sleep(2 * FLUSH_AFTER);
+            ctx.emit("out", Value::Int(2));
+            panic!("source died mid-stream");
+        }))
+    });
+    exe.register(b, move || Box::new(CountingSink::into_handle(n.clone())));
+    (exe.seal().unwrap(), count)
+}
+
+#[test]
+fn panicking_source_keeps_what_it_routed_before_the_panic() {
+    let runs: [(&dyn Mapping, bool); 2] = [(&DynMulti, false), (&HybridMulti, true)];
+    for (mapping, pinned) in runs {
+        let (exe, count) = paced_panicking_source(pinned);
+        let report = mapping.execute(&exe, &ExecutionOptions::new(2)).unwrap();
+        assert_eq!(
+            count.load(Ordering::Relaxed),
+            1,
+            "{}: only the item routed before the panic arrives",
+            mapping.name()
+        );
+        assert_eq!(report.failed_tasks, 1, "{}", mapping.name());
+    }
 }
 
 #[test]
